@@ -22,7 +22,7 @@ import argparse
 import csv
 import dataclasses
 import json
-import os
+import math
 import sys
 from datetime import datetime, timezone
 from pathlib import Path
@@ -62,35 +62,27 @@ def _fmt(value) -> str:
     return format(value, ".12g")
 
 
-def _workers_from_env() -> int | None:
-    raw = os.environ.get("EIT_SIM_THREADS")
-    if raw is None:
-        return None
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ConfigError(f"EIT_SIM_THREADS must be an integer, got {raw!r}") from exc
-
-
 def _load_config(path: str | None) -> RunConfig:
     if path is None:
         return RunConfig()
     return RunConfig.from_file(path)
 
 
-def _open_out(path: str):
+def _open_out(path: str, deterministic: bool):
+    """Open an output CSV; unless ``deterministic``, head it with a timestamp."""
     out = Path(path)
     if out.parent and not out.parent.exists():
         raise ConfigError(f"output directory {out.parent} does not exist")
-    return out.open("w", encoding="utf-8", newline="")
+    handle = out.open("w", encoding="utf-8", newline="")
+    if not deterministic:
+        stamp = datetime.now(timezone.utc).isoformat()
+        handle.write(f"# generated {stamp}\n")
+    return handle
 
 
 def _write_spectrum_csv(path: str, sweep_column: str, records: list[SpectrumRecord],
                         deterministic: bool):
-    with _open_out(path) as handle:
-        if not deterministic:
-            stamp = datetime.now(timezone.utc).isoformat()
-            handle.write(f"# generated {stamp}\n")
+    with _open_out(path, deterministic) as handle:
         writer = csv.writer(handle)
         writer.writerow((sweep_column,) + _SPECTRUM_COLUMNS)
         for rec in records:
@@ -107,13 +99,23 @@ def _write_spectrum_csv(path: str, sweep_column: str, records: list[SpectrumReco
             )
 
 
+def _csv_float(text: str, where: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        value = math.nan
+    if not math.isfinite(value):
+        raise ConfigError(f"{where}: bad number {text!r}")
+    return value
+
+
 def _read_spectrum_csv(path: str) -> tuple[str, list[SpectrumRecord]]:
     try:
         with open(path, encoding="utf-8", newline="") as handle:
-            lines = [ln for ln in handle if not ln.startswith("#")]
-    except OSError as exc:
+            numbered = [(n, ln) for n, ln in enumerate(handle, start=1) if not ln.startswith("#")]
+    except (OSError, UnicodeDecodeError) as exc:
         raise ConfigError(f"cannot read {path}: {exc}") from exc
-    reader = csv.reader(lines)
+    reader = csv.reader(ln for _, ln in numbered)
     try:
         header = next(reader)
     except StopIteration as exc:
@@ -122,14 +124,17 @@ def _read_spectrum_csv(path: str) -> tuple[str, list[SpectrumRecord]]:
         raise ConfigError(f"{path}: unrecognized spectrum columns {header!r}")
     records = []
     for row in reader:
+        where = f"{path}:{numbered[reader.line_num - 1][0]}"
+        if len(row) != len(header):
+            raise ConfigError(f"{where}: expected {len(header)} fields, got {len(row)}")
         records.append(
             SpectrumRecord(
-                sweep_value=float(row[0]),
-                transmission_rel=float(row[1]),
-                photon_number=float(row[2]),
-                absorption_part=float(row[3]) if row[3] else None,
-                dispersion_part=float(row[4]) if row[4] else None,
-                residual_norm=float(row[6]) if row[6] else None,
+                sweep_value=_csv_float(row[0], where),
+                transmission_rel=_csv_float(row[1], where),
+                photon_number=_csv_float(row[2], where),
+                absorption_part=_csv_float(row[3], where) if row[3] else None,
+                dispersion_part=_csv_float(row[4], where) if row[4] else None,
+                residual_norm=_csv_float(row[6], where) if row[6] else None,
                 engine=row[5],
             )
         )
@@ -158,7 +163,7 @@ def _cmd_eit_sweep(args) -> int:
         engines=engines,
         level_scheme="three" if args.three_level else "five",
     )
-    records = run_sweep(spec, max_workers=_workers_from_env())
+    records = run_sweep(spec)
     _write_spectrum_csv(args.out, "delta_MHz", records, args.deterministic)
     return _exit_status(records)
 
@@ -175,7 +180,7 @@ def _cmd_cavity_scan(args) -> int:
         engines=(ENGINE_MASTER_EQUATION,),
         level_scheme="two" if args.atoms == 1 else "five",
     )
-    records = run_sweep(spec, max_workers=_workers_from_env())
+    records = run_sweep(spec)
     _write_spectrum_csv(args.out, "delta_p_cav_MHz", records, args.deterministic)
     return _exit_status(records)
 
@@ -185,7 +190,10 @@ def _cmd_analyze(args) -> int:
     report = {"input": args.input, "sweep_column": sweep_column, "engines": {}}
     for engine in sorted({r.engine for r in records}):
         subset = [r for r in records if r.engine == engine]
-        extrema = find_extrema(subset)
+        try:
+            extrema = find_extrema(subset)
+        except ValueError as exc:
+            raise ConfigError(f"{args.input}: engine {engine!r}: {exc}") from exc
         report["engines"][engine] = {
             "delta_max_MHz": extrema.delta_max,
             "T_max": extrema.t_max,
@@ -204,10 +212,7 @@ def _cmd_converge(args) -> int:
     except ValueError as exc:
         raise ConfigError(f"bad --nmax-list {args.nmax_list!r}") from exc
     study = convergence_study(config.params(), n_max_list)
-    with _open_out(args.out) as handle:
-        if not args.deterministic:
-            stamp = datetime.now(timezone.utc).isoformat()
-            handle.write(f"# generated {stamp}\n")
+    with _open_out(args.out, args.deterministic) as handle:
         writer = csv.writer(handle)
         writer.writerow(("n_max", "delta_MHz", "T_rel", "photon_number"))
         for row in study.rows:

@@ -12,54 +12,29 @@ from __future__ import annotations
 import dataclasses
 from dataclasses import dataclass
 from pathlib import Path
+from typing import get_type_hints
 
 from .errors import ConfigError
 from .model import PhysicsParams
 from .sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP
 
 _PARAM_FIELDS = [f.name for f in dataclasses.fields(PhysicsParams)]
-_INT_KEYS = {"n_max", "n_atoms", "n_points"}
 
 
 @dataclass(frozen=True)
-class RunConfig:
+class RunConfig(PhysicsParams):
     """Physics parameters plus the two-photon sweep window."""
 
-    g: float = 3.0
-    omega_con: float = 2.8
-    gamma: float = 2.6
-    kappa: float = 0.4
-    gamma_deph: float = 0.15
-    delta_p: float = 20.0
-    delta_p_cav: float = 0.0
-    delta: float = 0.0
-    n_p: float = 0.1
-    light_shift: float = 0.1
-    n_max: int = 2
-    n_atoms: int = 1
-    omega_d: float = -201.2
-    omega_f: float = 251.0
-    r_d: float = 1.0
-    r_e: float = 1.0
-    r_f: float = 1.0
-    c_d: float = 1.0
-    c_e: float = 1.0
-    b_d_g1: float = 0.75
-    b_d_g2: float = 0.25
-    b_e_g1: float = 5.0 / 12.0
-    b_e_g2: float = 7.0 / 12.0
-    b_f_g1: float = 0.0
-    b_f_g2: float = 1.0
     start: float = DEFAULT_SWEEP_START
     stop: float = DEFAULT_SWEEP_STOP
     n_points: int = DEFAULT_SWEEP_POINTS
 
     def __post_init__(self):
+        super().__post_init__()
         if not self.start < self.stop:
             raise ConfigError("sweep window needs start < stop")
         if self.n_points < 2:
             raise ConfigError("n_points must be at least 2")
-        self.params()  # physics validation
 
     def params(self) -> PhysicsParams:
         values = {name: getattr(self, name) for name in _PARAM_FIELDS}
@@ -72,6 +47,7 @@ class RunConfig:
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
         known = set(cls.keys())
+        int_keys = {name for name, kind in get_type_hints(cls).items() if kind is int}
         values: dict[str, float | int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -87,7 +63,7 @@ class RunConfig:
             if key in values:
                 raise ConfigError(f"{source}:{lineno}: duplicate key {key!r}")
             try:
-                values[key] = int(value) if key in _INT_KEYS else float(value)
+                values[key] = int(value) if key in int_keys else float(value)
             except ValueError as exc:
                 raise ConfigError(f"{source}:{lineno}: bad value for {key!r}: {value!r}") from exc
         try:
@@ -100,7 +76,7 @@ class RunConfig:
         path = Path(path)
         try:
             text = path.read_text(encoding="utf-8")
-        except OSError as exc:
+        except (OSError, UnicodeDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
         return cls.from_text(text, source=str(path))
 

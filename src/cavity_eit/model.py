@@ -27,7 +27,7 @@ decay gamma_deph) widens it to above 400 kHz.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 from .errors import CapacityError, ConfigError
@@ -86,6 +86,9 @@ class PhysicsParams:
     b_f_g2: float = 1.0
 
     def __post_init__(self):
+        for f in fields(self):
+            if not math.isfinite(getattr(self, f.name)):
+                raise ConfigError(f"{f.name} must be finite")
         for name in ("g", "omega_con", "gamma", "kappa", "gamma_deph", "n_p"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")

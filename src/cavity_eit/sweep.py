@@ -2,14 +2,13 @@
 
 Sweeps are quasi-static: one independent steady state per grid point (every
 relaxation rate far exceeds any realistic scan speed).  Points are solved
-concurrently where possible but always assembled by grid index, so a given
-spec produces bit-identical records on every run.
+one after another in grid order, so a given spec produces bit-identical
+records on every run.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
+import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -67,6 +66,8 @@ class SweepSpec:
         object.__setattr__(self, "engines", tuple(self.engines))
         if self.variable not in _VARIABLES:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError("sweep window must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep window needs start < stop")
         if self.n_points < 2:
@@ -162,18 +163,7 @@ def _semiclassical_point(spec: SweepSpec, value: float, t0: float) -> SpectrumRe
     )
 
 
-def _worker_count(max_workers: int | None, n_tasks: int) -> int:
-    if max_workers is None:
-        max_workers = min(4, os.cpu_count() or 1)
-    return max(1, min(max_workers, n_tasks))
-
-
-def run_sweep(
-    spec: SweepSpec,
-    *,
-    tol: float = 1e-9,
-    max_workers: int | None = None,
-) -> list[SpectrumRecord]:
+def run_sweep(spec: SweepSpec, *, tol: float = 1e-9) -> list[SpectrumRecord]:
     """Solve every grid point with every requested engine.
 
     Records are ordered by sweep value, then engine tag.  Master-equation
@@ -181,8 +171,6 @@ def run_sweep(
     ``converged=False`` instead of aborting the sweep; capacity and
     degeneracy problems abort with the offending point identified.
     """
-    values = grid_points(spec)
-    needs_me = ENGINE_MASTER_EQUATION in spec.engines
     t0 = spec.base_params.n_p
     if t0 < 1e-15:
         raise ConfigError("probe drive is zero; relative transmission is undefined")
@@ -190,21 +178,11 @@ def run_sweep(
     # that probe-cavity scans trace the resonance line at fixed input power.
     eta = drive_amplitude(spec.base_params)
 
-    me_records: list[SpectrumRecord] = []
-    if needs_me:
-        workers = _worker_count(max_workers, len(values))
-        if workers == 1:
-            me_records = [_solve_point(spec, v, eta, t0, tol) for v in values]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                futures = [pool.submit(_solve_point, spec, v, eta, t0, tol) for v in values]
-                me_records = [f.result() for f in futures]
-
     records: list[SpectrumRecord] = []
-    for i, value in enumerate(values):
+    for value in grid_points(spec):
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(me_records[i])
+                records.append(_solve_point(spec, value, eta, t0, tol))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records

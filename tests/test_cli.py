@@ -2,6 +2,8 @@ import json
 
 import numpy as np
 import pytest
+from hypothesis import assume, given
+from hypothesis import strategies as st
 
 from cavity_eit import ConfigError, RunConfig
 from cavity_eit.cli import main
@@ -39,6 +41,38 @@ def test_config_covers_every_physics_parameter():
 def test_config_round_trip_with_overrides():
     config = RunConfig(g=2.5, n_max=3, n_points=51, delta_p=-12.5)
     assert RunConfig.from_text(config.to_text()) == config
+
+
+_FINITE = st.floats(allow_nan=False, allow_infinity=False)
+_NONNEGATIVE = st.floats(min_value=0.0, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def _run_configs(draw):
+    values = {name: draw(_FINITE)
+              for name in ("delta_p", "delta_p_cav", "delta", "light_shift", "omega_d", "omega_f")}
+    for name in ("g", "omega_con", "gamma", "kappa", "gamma_deph", "n_p",
+                 "r_d", "r_e", "r_f", "c_d", "c_e"):
+        values[name] = draw(_NONNEGATIVE)
+    for upper in ("d", "e"):
+        share = draw(st.floats(min_value=0.0, max_value=1.0))
+        values[f"b_{upper}_g1"], values[f"b_{upper}_g2"] = share, 1.0 - share
+    values["b_f_g1"], values["b_f_g2"] = 0.0, 1.0  # f -> g1 is dipole-forbidden
+    values["n_max"] = draw(st.integers(min_value=1, max_value=10**6))
+    values["n_atoms"] = draw(st.sampled_from((0, 1, 2)))
+    values["start"], values["stop"] = draw(_FINITE), draw(_FINITE)
+    assume(values["start"] < values["stop"])
+    values["n_points"] = draw(st.integers(min_value=2, max_value=10**6))
+    assert set(values) == set(RunConfig.keys())
+    return RunConfig(**values)
+
+
+@given(_run_configs())
+def test_config_text_round_trip_property(config):
+    back = RunConfig.from_text(config.to_text())
+    assert back == config
+    for name in ("n_max", "n_atoms", "n_points"):
+        assert type(getattr(back, name)) is int
 
 
 def test_config_parses_values_and_comments():
@@ -215,19 +249,68 @@ def test_bad_config_file_exits_with_error_record(tmp_path, capsys):
     assert "coupling" in record["message"]
 
 
+@pytest.mark.parametrize(
+    "config_text, command",
+    [
+        ("g = nan\n", ["eit-sweep"]),
+        ("kappa = inf\n", ["eit-sweep"]),
+        ("stop = inf\n", ["eit-sweep"]),
+        ("", ["cavity-scan", "--stop", "inf"]),
+    ],
+    ids=["g-nan", "kappa-inf", "stop-inf", "scan-stop-inf"],
+)
+def test_non_finite_input_exits_with_error_record(tmp_path, capsys, config_text, command):
+    config = tmp_path / "nonfinite.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(command + ["--config", str(config), "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert "finite" in record["message"]
+
+
+_HEADER = "delta_MHz,T_rel,photon_number,absorption_part,dispersion_part,engine,residual\n"
+_ROW = "{},0.5,0.05,,,me,1e-12\n"
+
+
+@pytest.mark.parametrize(
+    "text, where",
+    [
+        (_HEADER + "0.1,0.5\n", "bad.csv:2:"),
+        (_HEADER + "0.1,high,0.05,,,me,1e-12\n", "bad.csv:2:"),
+        ("# generated now\n" + _HEADER + _ROW.format(0.0) + "0.1,nan,0.05,,,me,1e-12\n",
+         "bad.csv:4:"),
+        (_HEADER + "".join(_ROW.format(0.1 * i) for i in range(4)), "engine 'me'"),
+    ],
+    ids=["short-row", "non-numeric", "nan", "too-few-points"],
+)
+def test_analyze_rejects_malformed_rows(tmp_path, capsys, text, where):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(text, encoding="utf-8")
+    assert main(["analyze", "--in", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    record = json.loads(captured.err)
+    assert record["error"] == "ConfigError"
+    assert where in record["message"]
+
+
+@pytest.mark.parametrize("command", ["analyze", "eit-sweep"])
+def test_undecodable_input_exits_with_error_record(tmp_path, capsys, command):
+    binary = tmp_path / "binary.dat"
+    binary.write_bytes(b"\xff\xfe\x00")
+    argv = {
+        "analyze": ["analyze", "--in", str(binary)],
+        "eit-sweep": ["eit-sweep", "--config", str(binary), "--out", str(tmp_path / "o.csv")],
+    }[command]
+    assert main(argv) == 2
+    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
 def test_missing_output_directory(tmp_path, small_config, capsys):
     target = tmp_path / "nowhere" / "o.csv"
     assert main(["eit-sweep", "--config", small_config, "--out", str(target)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
-
-
-def test_thread_cap_env(tmp_path, small_config, monkeypatch):
-    monkeypatch.setenv("EIT_SIM_THREADS", "2")
-    out = tmp_path / "threads.csv"
-    assert main(["eit-sweep", "--config", small_config, "--out", str(out),
-                 "--deterministic"]) == 0
-    monkeypatch.setenv("EIT_SIM_THREADS", "zero")
-    assert main(["eit-sweep", "--config", small_config, "--out", str(out)]) == 2
 
 
 def test_exit_status_reflects_flagged_records():
