@@ -25,7 +25,6 @@ import json
 import math
 import sys
 from datetime import datetime, timezone
-from pathlib import Path
 
 from .config import RunConfig
 from .errors import (
@@ -70,10 +69,10 @@ def _load_config(path: str | None) -> RunConfig:
 
 def _open_out(path: str, deterministic: bool):
     """Open an output CSV; unless ``deterministic``, head it with a timestamp."""
-    out = Path(path)
-    if out.parent and not out.parent.exists():
-        raise ConfigError(f"output directory {out.parent} does not exist")
-    handle = out.open("w", encoding="utf-8", newline="")
+    try:
+        handle = open(path, "w", encoding="utf-8", newline="")
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc}") from exc
     if not deterministic:
         stamp = datetime.now(timezone.utc).isoformat()
         handle.write(f"# generated {stamp}\n")

@@ -1,10 +1,15 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import assume, given
 from hypothesis import strategies as st
 
+import cavity_eit
 from cavity_eit import ConfigError, RunConfig
 from cavity_eit.cli import main
 
@@ -307,10 +312,35 @@ def test_undecodable_input_exits_with_error_record(tmp_path, capsys, command):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
-def test_missing_output_directory(tmp_path, small_config, capsys):
-    target = tmp_path / "nowhere" / "o.csv"
-    assert main(["eit-sweep", "--config", small_config, "--out", str(target)]) == 2
-    assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+@pytest.mark.parametrize(
+    "command",
+    [["eit-sweep", "--atoms", "0"], ["converge", "--nmax-list", "1,2"]],
+    ids=["eit-sweep", "converge"],
+)
+@pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
+def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsys,
+                                                   command, target):
+    out = {"missing-dir": tmp_path / "nowhere" / "o.csv", "is-dir": tmp_path}[target]
+    assert main(command + ["--config", small_config, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "ConfigError"
+    assert str(out) in record["message"]
+
+
+def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
+    # byte identity must not hinge on how many threads the BLAS starts
+    package_root = Path(cavity_eit.__file__).resolve().parent.parent
+    outputs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}.csv"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(package_root))
+        subprocess.run(
+            [sys.executable, "-m", "cavity_eit", "eit-sweep", "--config", small_config,
+             "--engine", "both", "--out", str(out), "--deterministic"],
+            env=env, check=True, timeout=300,
+        )
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
 
 
 def test_exit_status_reflects_flagged_records():

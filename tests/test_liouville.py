@@ -3,6 +3,9 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+import scipy.linalg
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_eit import (
     CapacityError,
@@ -22,10 +25,12 @@ from cavity_eit import (
     liouvillian_apply,
     mean_photon_number,
     steady_state,
+    three_level_model,
     trace_distance,
     transition_operator,
+    two_level_model,
 )
-from cavity_eit.liouville import vectorize
+from cavity_eit.liouville import unvectorize, vectorize
 
 TWO_PI = 2.0 * math.pi
 
@@ -129,6 +134,40 @@ def test_superoperator_matches_apply_full_model():
         assert np.max(np.abs(through - vectorize(direct))) < 1e-12 * scale
 
 
+_RATE = st.floats(min_value=0.0, max_value=10.0)
+_DETUNING = st.floats(min_value=-300.0, max_value=300.0)
+
+
+@st.composite
+def _models(draw):
+    scheme = draw(st.sampled_from(("five", "three", "two")))
+    share_d, share_e = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    params = PhysicsParams(
+        g=draw(_RATE), omega_con=draw(_RATE), gamma=draw(_RATE), kappa=draw(st.floats(0.01, 10.0)),
+        gamma_deph=draw(_RATE), n_p=draw(st.floats(0.0, 1.0)),
+        delta_p=draw(_DETUNING), delta_p_cav=draw(_DETUNING), delta=draw(_DETUNING),
+        light_shift=draw(_DETUNING), omega_d=draw(_DETUNING), omega_f=draw(_DETUNING),
+        r_d=draw(_RATE), r_e=draw(_RATE), r_f=draw(_RATE), c_d=draw(_RATE), c_e=draw(_RATE),
+        b_d_g1=share_d, b_d_g2=1.0 - share_d, b_e_g1=share_e, b_e_g2=1.0 - share_e,
+        n_max=draw(st.sampled_from((1, 2))),
+        n_atoms=draw(st.sampled_from((0, 1))) if scheme == "five" else 1,
+    )
+    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
+    return builder(params)
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_superoperator_matches_apply_property(model, seed):
+    rho = _random_density(np.random.default_rng(seed), model.space.total_dim)
+    direct = liouvillian_apply(model, rho)
+    image = unvectorize(build_superoperator(model) @ vectorize(rho), model.space.total_dim)
+    scale = np.max(np.abs(direct))
+    assert np.max(np.abs(image - direct)) <= 1e-12 * scale
+    assert abs(np.trace(image)) <= 1e-12 * scale
+    assert np.max(np.abs(image - image.conj().T)) <= 1e-12 * scale
+
+
 def test_superoperator_qubit_decay_spectrum():
     kappa = 0.7
     model, _, _ = _qubit_decay(kappa)
@@ -178,13 +217,29 @@ def test_steady_state_contract():
     assert np.linalg.eigvalsh(rho).min() > -1e-8
 
 
-def test_steady_state_dense_sparse_agree():
-    model = build_model(replace(PhysicsParams(), delta=0.2))
-    dense = steady_state(model, method="dense")
-    sparse = steady_state(model, method="sparse")
-    assert np.max(np.abs(dense.rho.matrix - sparse.rho.matrix)) < 1e-12
-    assert dense.diagnostics.method == "dense"
-    assert sparse.diagnostics.method == "sparse"
+def test_steady_state_matches_dense_null_space():
+    for delta in (-0.5, 0.2, 1.1):
+        model = build_model(replace(PhysicsParams(), delta=delta))
+        kernel = scipy.linalg.null_space(build_superoperator(model).toarray())
+        assert kernel.shape[1] == 1
+        reference = unvectorize(kernel[:, 0], model.space.total_dim)
+        reference = reference / np.trace(reference)
+        solution = steady_state(model)
+        assert np.max(np.abs(solution.rho.matrix - reference)) < 1e-12
+        assert solution.diagnostics.method == "sparse"
+
+
+def test_condition_estimate_brackets_exact_condition():
+    # the estimator is a lower bound that is rarely off by more than 3x
+    model = build_model(PhysicsParams())
+    dim = model.space.total_dim
+    system = build_superoperator(model).toarray()
+    scale = max(1.0, np.abs(system).max())
+    system[0, :] = 0.0
+    system[0, (dim + 1) * np.arange(dim)] = scale
+    exact = np.linalg.cond(system, 1)
+    estimate = steady_state(model).diagnostics.condition_estimate
+    assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-9)
 
 
 def test_steady_state_degenerate_rejected():
