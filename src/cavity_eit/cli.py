@@ -12,17 +12,21 @@ converge     transmission vs Fock truncation at a few detunings
 All frequencies on disk are linear MHz.  Numbers are serialized with 12
 significant digits; adding ``--deterministic`` drops the timestamp comment
 so identical runs produce byte-identical files.  Exit status: 0 all points
-solved within tolerance, 1 some points flagged, 2 configuration or solver
-structure errors (a JSON error record goes to stderr).
+solved within tolerance, 1 some sweep points flagged, 2 configuration or
+solver errors that leave no result: a JSON error record goes to stderr and
+no partial ``--out`` file is left behind.  ``--out`` is opened before the
+first solve, so an unwritable path fails at once.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import json
 import math
+import os
 import sys
 from datetime import datetime, timezone
 
@@ -32,6 +36,7 @@ from .errors import (
     ConfigError,
     DegenerateSteadyStateError,
     EdgeExtremumError,
+    SteadyStateConvergenceError,
 )
 from .sweep import (
     ENGINE_MASTER_EQUATION,
@@ -79,9 +84,21 @@ def _open_out(path: str, deterministic: bool):
     return handle
 
 
-def _write_spectrum_csv(path: str, sweep_column: str, records: list[SpectrumRecord],
-                        deterministic: bool):
-    with _open_out(path, deterministic) as handle:
+@contextlib.contextmanager
+def _output(path: str, deterministic: bool):
+    """``_open_out`` before any solve; a command that fails leaves no partial file."""
+    handle = _open_out(path, deterministic)
+    try:
+        with handle:
+            yield handle
+    except BaseException:
+        os.remove(path)
+        raise
+
+
+def _sweep_to_csv(spec: SweepSpec, sweep_column: str, args) -> int:
+    with _output(args.out, args.deterministic) as handle:
+        records = run_sweep(spec)
         writer = csv.writer(handle)
         writer.writerow((sweep_column,) + _SPECTRUM_COLUMNS)
         for rec in records:
@@ -96,6 +113,7 @@ def _write_spectrum_csv(path: str, sweep_column: str, records: list[SpectrumReco
                     _fmt(rec.residual_norm),
                 )
             )
+    return _exit_status(records)
 
 
 def _csv_float(text: str, where: str) -> float:
@@ -162,9 +180,7 @@ def _cmd_eit_sweep(args) -> int:
         engines=engines,
         level_scheme="three" if args.three_level else "five",
     )
-    records = run_sweep(spec)
-    _write_spectrum_csv(args.out, "delta_MHz", records, args.deterministic)
-    return _exit_status(records)
+    return _sweep_to_csv(spec, "delta_MHz", args)
 
 
 def _cmd_cavity_scan(args) -> int:
@@ -179,9 +195,7 @@ def _cmd_cavity_scan(args) -> int:
         engines=(ENGINE_MASTER_EQUATION,),
         level_scheme="two" if args.atoms == 1 else "five",
     )
-    records = run_sweep(spec)
-    _write_spectrum_csv(args.out, "delta_p_cav_MHz", records, args.deterministic)
-    return _exit_status(records)
+    return _sweep_to_csv(spec, "delta_p_cav_MHz", args)
 
 
 def _cmd_analyze(args) -> int:
@@ -210,8 +224,8 @@ def _cmd_converge(args) -> int:
         n_max_list = [int(part) for part in args.nmax_list.split(",") if part.strip()]
     except ValueError as exc:
         raise ConfigError(f"bad --nmax-list {args.nmax_list!r}") from exc
-    study = convergence_study(config.params(), n_max_list)
-    with _open_out(args.out, args.deterministic) as handle:
+    with _output(args.out, args.deterministic) as handle:
+        study = convergence_study(config.params(), n_max_list)
         writer = csv.writer(handle)
         writer.writerow(("n_max", "delta_MHz", "T_rel", "photon_number"))
         for row in study.rows:
@@ -275,7 +289,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, CapacityError, DegenerateSteadyStateError, EdgeExtremumError) as exc:
+    except (ConfigError, CapacityError, DegenerateSteadyStateError, EdgeExtremumError,
+            SteadyStateConvergenceError) as exc:
         record = {"error": type(exc).__name__, "message": str(exc)}
         print(json.dumps(record), file=sys.stderr)
         return 2

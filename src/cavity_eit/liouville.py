@@ -6,7 +6,10 @@ generator is assembled from the effective Hamiltonian
 ``H_eff = H - (i/2) sum_c c^+c``.  The steady state is obtained from it by
 replacing one row (the one belonging to the rho[0,0] component) with the
 trace functional and solving the resulting linear system with one sparse LU
-factorization.  L(rho) by direct products keeps the anticommutator form, and
+factorization.  A family H + v*G with G real diagonal changes only the
+diagonal of that system, so a sweep over v assembles it once and each value
+is one diagonal update and one LU; a single solve is the case v = 0.
+L(rho) by direct products keeps the anticommutator form, and
 the explicit RK4 integrator uses only that path, so both serve as independent
 cross-checks of the vectorized solver.
 """
@@ -174,86 +177,146 @@ def build_superoperator(model: LindbladModel, *, cap: int = SUPEROP_DIM_CAP) -> 
     return liou.tocsr()
 
 
-def _solve(liou: sp.csr_matrix, dim: int):
-    """Trace-replaced sparse LU solve with a Hager-Higham condition estimate."""
-    size = dim * dim
-    scale = max(1.0, float(np.abs(liou.data).max()) if liou.nnz else 1.0)
-    trace_row = sp.csr_matrix(
-        (np.full(dim, scale, dtype=complex), (dim + 1) * np.arange(dim), [0, dim]),
-        shape=(1, size),
-    )
-    system = sp.vstack([trace_row, liou[1:]], format="csc")
-    rhs = np.zeros(size, dtype=complex)
-    rhs[0] = scale
-    try:
-        # the generator's pattern is near-symmetric, which this ordering exploits
-        lu = splu(system, permc_spec="MMD_AT_PLUS_A")
-    except RuntimeError as exc:
-        raise DegenerateSteadyStateError(
-            f"sparse factorization failed, generator is singular: {exc}"
-        ) from exc
-    vec = lu.solve(rhs)
-    # ||A^-1||_1 by Hager's estimator as refined by Higham (LAPACK's gecon
-    # method); with one column scipy draws no random probes.
-    inverse = LinearOperator(
-        (size, size),
-        matvec=lu.solve,
-        rmatvec=lambda x: lu.solve(x, trans="H"),
-        dtype=complex,
-    )
-    anorm = float(np.max(np.abs(system).sum(axis=0)))
-    cond = anorm * float(onenormest(inverse, t=1))
-    return vec, cond
+class ParametricSteadyState:
+    """Steady states of the family H(v) = H + v*G from one generator assembly.
+
+    G must be real and diagonal.  Then L(v) = L(0) + v*D with D diagonal,
+    D[i + j*dim] = i*(g_j - g_i) for the diagonal g of G, and row 0 of D is
+    zero, so replacing row 0 by the trace functional commutes with the
+    update.  The trace-replaced system is assembled once in CSC form with
+    its whole diagonal in the pattern; each value v then costs a fresh data
+    vector, one sparse LU and the same checks as a single solve.
+    """
+
+    def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
+        dim = model.space.total_dim
+        size = dim * dim
+        if sweep_op is None:
+            g = np.zeros(dim)
+        else:
+            if sweep_op.space != model.space:
+                raise ValueError("sweep operator does not act on the model space")
+            g = np.diag(sweep_op.matrix)
+            if np.count_nonzero(sweep_op.matrix - np.diag(g)) or np.any(g.imag):
+                raise ValueError("sweep operator must be a real diagonal matrix")
+            g = g.real
+        liou = build_superoperator(model)
+        head = liou.data[liou.indptr[0]:liou.indptr[1]]
+        # L(v) keeps row 0 of L(0); its largest entry enters the trace-row scale
+        self._head_max = float(np.abs(head).max()) if head.size else 0.0
+        body = liou[1:].tocoo()
+        diagonal = np.arange(1, size)
+        system = sp.csc_matrix(
+            (
+                np.concatenate([np.zeros(dim), body.data, np.zeros(size - 1)]),
+                (
+                    np.concatenate([np.zeros(dim, dtype=int), body.row + 1, diagonal]),
+                    np.concatenate([(dim + 1) * np.arange(dim), body.col, diagonal]),
+                ),
+            ),
+            shape=(size, size),
+            dtype=complex,
+        )
+        self._indices, self._indptr = system.indices, system.indptr
+        self._trace = np.flatnonzero(system.indices == 0)
+        self._base = system.data
+        # column k = i + j*dim holds its diagonal entry exactly once
+        k = np.arange(size)
+        on_diagonal = system.indices == np.repeat(k, np.diff(system.indptr))
+        self._step = np.zeros_like(self._base)
+        self._step[on_diagonal] = 1j * (g[k // dim] - g[k % dim])
+        self.model = model
+        self.sweep_op = sweep_op
+
+    def solve(self, value: float = 0.0, tol: float = DEFAULT_TOL) -> SteadyStateSolution:
+        """Solve L(v) vec(rho) = 0 with trace(rho) = 1 at v = ``value``.
+
+        Raises DegenerateSteadyStateError when the null space is not
+        one-dimensional, and SteadyStateConvergenceError (carrying the
+        partial solution) when the residual max|L(rho)| exceeds ``tol``.
+        """
+        model = self.model
+        if self.sweep_op is not None:
+            model = LindbladModel(
+                model.space, model.hamiltonian + value * self.sweep_op, model.collapse_ops
+            )
+        dim = model.space.total_dim
+        size = dim * dim
+        # a fresh vector per value: a live SuperLU never sees its input change
+        data = self._base + value * self._step
+        scale = max(1.0, self._head_max, float(np.abs(data).max()))
+        data[self._trace] = scale
+        system = sp.csc_matrix((data, self._indices, self._indptr), shape=(size, size))
+        rhs = np.zeros(size, dtype=complex)
+        rhs[0] = scale
+        try:
+            # the generator's pattern is near-symmetric, which this ordering exploits
+            lu = splu(system, permc_spec="MMD_AT_PLUS_A")
+        except RuntimeError as exc:
+            raise DegenerateSteadyStateError(
+                f"sparse factorization failed, generator is singular: {exc}"
+            ) from exc
+        vec = lu.solve(rhs)
+        # ||A^-1||_1 by Hager's estimator as refined by Higham (LAPACK's gecon
+        # method); with one column scipy draws no random probes.
+        inverse = LinearOperator(
+            (size, size),
+            matvec=lu.solve,
+            rmatvec=lambda x: lu.solve(x, trans="H"),
+            dtype=complex,
+        )
+        anorm = float(np.add.reduceat(np.abs(data), self._indptr[:-1]).max())
+        cond = anorm * float(onenormest(inverse, t=1))
+
+        if not np.all(np.isfinite(vec)) or cond > _SINGULAR_COND:
+            raise DegenerateSteadyStateError(
+                f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
+                "the generator has multiple steady states",
+                condition_estimate=cond,
+            )
+        near = cond > _COND_WARN
+        if near:
+            warnings.warn(
+                f"generator is close to degenerate (condition ~ {cond:.3e}); "
+                "the steady state may be poorly determined",
+                NearDegeneracyWarning,
+                stacklevel=2,
+            )
+
+        rho = unvectorize(vec, dim)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+        residual = float(np.max(np.abs(liouvillian_apply(model, rho))))
+        diagnostics = SolverDiagnostics(
+            method=_SOLVE_METHOD,
+            dimension=size,
+            condition_estimate=float(cond),
+            near_degenerate=near,
+        )
+        try:
+            state = DensityMatrix(model.space, rho)
+        except ValueError as exc:
+            raise SteadyStateConvergenceError(
+                f"solution violates state invariants: {exc}"
+            ) from exc
+        solution = SteadyStateSolution(rho=state, residual_norm=residual, diagnostics=diagnostics)
+        if residual > tol:
+            raise SteadyStateConvergenceError(
+                f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}",
+                solution=solution,
+            )
+        return solution
 
 
 def steady_state(model: LindbladModel, tol: float = DEFAULT_TOL) -> SteadyStateSolution:
     """Solve L vec(rho) = 0 with trace(rho) = 1 by trace-row replacement.
 
-    Raises DegenerateSteadyStateError when the null space is not
-    one-dimensional, and SteadyStateConvergenceError (carrying the partial
-    solution) when the residual max|L(rho)| exceeds ``tol``.
+    The v = 0 case of :class:`ParametricSteadyState`, with the same errors:
+    DegenerateSteadyStateError when the null space is not one-dimensional,
+    and SteadyStateConvergenceError (carrying the partial solution) when the
+    residual max|L(rho)| exceeds ``tol``.
     """
-    dim = model.space.total_dim
-    vec, cond = _solve(build_superoperator(model), dim)
-
-    if not np.all(np.isfinite(vec)) or cond > _SINGULAR_COND:
-        raise DegenerateSteadyStateError(
-            f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
-            "the generator has multiple steady states",
-            condition_estimate=cond,
-        )
-    near = cond > _COND_WARN
-    if near:
-        warnings.warn(
-            f"generator is close to degenerate (condition ~ {cond:.3e}); "
-            "the steady state may be poorly determined",
-            NearDegeneracyWarning,
-            stacklevel=2,
-        )
-
-    rho = unvectorize(vec, dim)
-    rho = 0.5 * (rho + rho.conj().T)
-    rho = rho / np.trace(rho).real
-    residual = float(np.max(np.abs(liouvillian_apply(model, rho))))
-    diagnostics = SolverDiagnostics(
-        method=_SOLVE_METHOD,
-        dimension=dim * dim,
-        condition_estimate=float(cond),
-        near_degenerate=near,
-    )
-    try:
-        state = DensityMatrix(model.space, rho)
-    except ValueError as exc:
-        raise SteadyStateConvergenceError(
-            f"solution violates state invariants: {exc}"
-        ) from exc
-    solution = SteadyStateSolution(rho=state, residual_norm=residual, diagnostics=diagnostics)
-    if residual > tol:
-        raise SteadyStateConvergenceError(
-            f"steady-state residual {residual:.3e} exceeds tolerance {tol:.3e}",
-            solution=solution,
-        )
-    return solution
+    return ParametricSteadyState(model).solve(0.0, tol)
 
 
 def stable_timestep(model: LindbladModel) -> float:

@@ -34,6 +34,7 @@ from .errors import CapacityError, ConfigError
 from .hilbert import (
     DensityMatrix,
     HilbertSpace,
+    OperatorMatrix,
     annihilation_operator,
     basis_projector,
     expectation,
@@ -160,29 +161,45 @@ def drive_amplitude(params: PhysicsParams) -> float:
     return kappa * math.sqrt(params.n_p) * math.sqrt(1.0 + (dpc / kappa) ** 2)
 
 
-def _build(params: PhysicsParams, scheme: str, drive_eta: float | None) -> LindbladModel:
-    n_levels, g1, g2, excited = _level_scheme(params, scheme)
-    n_atoms = params.n_atoms
-    dims = (n_levels,) * n_atoms + (params.n_max + 1,)
-    space = HilbertSpace(dims)
+def _space(params: PhysicsParams, n_levels: int) -> HilbertSpace:
+    """N atoms of ``n_levels`` levels each, then the cavity (Fock 0..n_max)."""
+    space = HilbertSpace((n_levels,) * params.n_atoms + (params.n_max + 1,))
     if space.total_dim**2 > SUPEROP_DIM_CAP:
         raise CapacityError(
             f"composite dimension {space.total_dim} gives a vectorized generator "
             f"of size {space.total_dim**2}, beyond the solver cap {SUPEROP_DIM_CAP}"
         )
-    cavity = n_atoms
-    lower = annihilation_operator(space, cavity)
+    return space
+
+
+def _scan_operators(space: HilbertSpace, n_atoms: int, g1: int | None) -> dict[str, OperatorMatrix]:
+    """The operator each scan variable, times -2pi, multiplies in H.
+
+    ``delta`` (and the light shift beside it) sits on every atom's g1 level,
+    ``delta_p_cav`` on the cavity photon number a+a.
+    """
+    number = cavity_operators(space)[1]
+    g1_population = 0.0 * number
+    if g1 is not None:
+        for atom in range(n_atoms):
+            g1_population = g1_population + basis_projector(space, atom, g1)
+    return {"delta": g1_population, "delta_p_cav": number}
+
+
+def _build(params: PhysicsParams, scheme: str, drive_eta: float | None) -> LindbladModel:
+    n_levels, g1, g2, excited = _level_scheme(params, scheme)
+    n_atoms = params.n_atoms
+    space = _space(params, n_levels)
+    scan = _scan_operators(space, n_atoms, g1)
+    lower = annihilation_operator(space, n_atoms)
     raise_op = lower.dagger()
     eta = drive_amplitude(params) if drive_eta is None else drive_eta
 
-    dpc = TWO_PI * params.delta_p_cav
-    ham = (-dpc) * (raise_op @ lower) + eta * (lower + raise_op)
+    ham = (-TWO_PI * params.delta_p_cav) * scan["delta_p_cav"] + eta * (lower + raise_op)
+    ham = ham + (-TWO_PI * (params.delta + params.light_shift)) * scan["delta"]
     g_ang = TWO_PI * params.g
     con_ang = TWO_PI * params.omega_con
     for atom in range(n_atoms):
-        if g1 is not None:
-            shift = TWO_PI * (params.delta + params.light_shift)
-            ham = ham + (-shift) * basis_projector(space, atom, g1)
         for lev in excited:
             detuning = TWO_PI * (params.delta_p - lev.offset)
             ham = ham + (-detuning) * basis_projector(space, atom, lev.index)
@@ -253,16 +270,34 @@ def two_level_model(params: PhysicsParams, *, drive_eta: float | None = None) ->
     return _build(params, "two", drive_eta)
 
 
+def scan_operator(params: PhysicsParams, field: str, scheme: str = "five") -> OperatorMatrix:
+    """G (rad/us per MHz) with H(v) = H(0) + v*G when ``field`` is set to v.
+
+    ``field`` is ``"delta"`` or ``"delta_p_cav"``; for the latter H is
+    affine in v only with the drive pinned (``drive_eta``).  ``scheme`` is
+    the level scheme of the builder: ``"five"``, ``"three"`` or ``"two"``.
+    """
+    n_levels, g1, _, _ = _level_scheme(params, scheme)
+    scan = _scan_operators(_space(params, n_levels), params.n_atoms, g1)
+    if field not in scan:
+        raise ValueError(f"{field!r} is not a scan variable; expected one of {sorted(scan)}")
+    return (-TWO_PI) * scan[field]
+
+
+def cavity_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
+    """The cavity lowering operator a and photon number a+a (cavity = last subsystem)."""
+    lower = annihilation_operator(space, space.n_subsystems - 1)
+    return lower, lower.dagger() @ lower
+
+
 def mean_photon_number(rho: DensityMatrix) -> float:
     """Total intracavity photons <a+a> (cavity = last subsystem)."""
-    lower = annihilation_operator(rho.space, rho.space.n_subsystems - 1)
-    return expectation(rho, lower.dagger() @ lower).real
+    return expectation(rho, cavity_operators(rho.space)[1]).real
 
 
 def mean_cavity_amplitude(rho: DensityMatrix) -> complex:
     """Coherent cavity amplitude <a> (cavity = last subsystem)."""
-    lower = annihilation_operator(rho.space, rho.space.n_subsystems - 1)
-    return expectation(rho, lower)
+    return expectation(rho, cavity_operators(rho.space)[0])
 
 
 def ground_coherence_decay(params: PhysicsParams) -> float:

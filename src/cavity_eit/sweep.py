@@ -1,9 +1,13 @@
 """Parameter sweeps, spectrum records, extrema analysis, truncation studies.
 
 Sweeps are quasi-static: one independent steady state per grid point (every
-relaxation rate far exceeds any realistic scan speed).  Points are solved
-one after another in grid order, so a given spec produces bit-identical
-records on every run.
+relaxation rate far exceeds any realistic scan speed).  Both sweep variables
+enter the Hamiltonian as v*G with G diagonal (``model.scan_operator``; the
+drive is pinned for probe-cavity scans), so a master-equation sweep builds
+its model and assembles the generator once, and every point is one diagonal
+update of that system and one sparse LU (``ParametricSteadyState``).  Points
+are solved one after another in grid order, so a given spec produces
+bit-identical records on every run.
 """
 
 from __future__ import annotations
@@ -21,14 +25,15 @@ from .errors import (
     EdgeExtremumError,
     SteadyStateConvergenceError,
 )
-from .liouville import steady_state
+from .hilbert import expectation
+from .liouville import ParametricSteadyState, steady_state
 from .model import (
     TWO_PI,
     PhysicsParams,
     build_model,
+    cavity_operators,
     drive_amplitude,
-    mean_cavity_amplitude,
-    mean_photon_number,
+    scan_operator,
     three_level_model,
     two_level_model,
 )
@@ -111,27 +116,42 @@ def grid_points(spec: SweepSpec) -> np.ndarray:
     return np.linspace(spec.start, spec.stop, spec.n_points)
 
 
-def _point_params(spec: SweepSpec, value: float) -> PhysicsParams:
+def _point_label(spec: SweepSpec, value: float) -> str:
+    return f"sweep point {spec.variable} = {value} MHz"
+
+
+def _sweep_system(spec: SweepSpec, eta: float, first: float) -> ParametricSteadyState:
+    """The model at a zero sweep value and its generator, assembled once."""
     field = "delta" if spec.variable == VAR_TWO_PHOTON else "delta_p_cav"
-    return replace(spec.base_params, **{field: float(value)})
-
-
-def _solve_point(spec: SweepSpec, value: float, eta: float, t0: float, tol: float) -> SpectrumRecord:
-    params = _point_params(spec, value)
-    builder = _BUILDERS[spec.level_scheme]
+    params = replace(spec.base_params, **{field: 0.0})
     try:
-        model = builder(params, drive_eta=eta)
-        solution = steady_state(model, tol)
+        model = _BUILDERS[spec.level_scheme](params, drive_eta=eta)
+        return ParametricSteadyState(model, scan_operator(params, field, spec.level_scheme))
+    except CapacityError as exc:
+        raise CapacityError(f"{_point_label(spec, first)}: {exc}") from exc
+
+
+def _readout(solution, operators) -> tuple[float, float]:
+    """Photon number <a+a> (clipped at 0) and coherent |<a>|^2 of a steady state."""
+    lower, number = operators
+    return max(expectation(solution.rho, number).real, 0.0), abs(expectation(solution.rho, lower)) ** 2
+
+
+def _solve_point(spec: SweepSpec, system: ParametricSteadyState, operators, value: float,
+                 t0: float, tol: float) -> SpectrumRecord:
+    try:
+        solution = system.solve(float(value), tol)
         converged = True
     except SteadyStateConvergenceError as exc:
         if exc.solution is None:
-            raise
+            raise SteadyStateConvergenceError(f"{_point_label(spec, value)}: {exc}") from exc
         solution = exc.solution
         converged = False
-    except (CapacityError, DegenerateSteadyStateError) as exc:
-        raise type(exc)(f"sweep point {spec.variable} = {value} MHz: {exc}") from exc
-    photons = max(mean_photon_number(solution.rho), 0.0)
-    coherent = abs(mean_cavity_amplitude(solution.rho)) ** 2
+    except DegenerateSteadyStateError as exc:
+        raise DegenerateSteadyStateError(
+            f"{_point_label(spec, value)}: {exc}", condition_estimate=exc.condition_estimate
+        ) from exc
+    photons, coherent = _readout(solution, operators)
     return SpectrumRecord(
         sweep_value=float(value),
         transmission_rel=coherent / t0,
@@ -168,8 +188,8 @@ def run_sweep(spec: SweepSpec, *, tol: float = 1e-9) -> list[SpectrumRecord]:
 
     Records are ordered by sweep value, then engine tag.  Master-equation
     points that miss the residual tolerance are recorded with
-    ``converged=False`` instead of aborting the sweep; capacity and
-    degeneracy problems abort with the offending point identified.
+    ``converged=False`` instead of aborting the sweep; capacity, degeneracy
+    and invalid-state problems abort with the offending point identified.
     """
     t0 = spec.base_params.n_p
     if t0 < 1e-15:
@@ -178,11 +198,16 @@ def run_sweep(spec: SweepSpec, *, tol: float = 1e-9) -> list[SpectrumRecord]:
     # that probe-cavity scans trace the resonance line at fixed input power.
     eta = drive_amplitude(spec.base_params)
 
+    grid = grid_points(spec)
+    if ENGINE_MASTER_EQUATION in spec.engines:
+        system = _sweep_system(spec, eta, grid[0])
+        operators = cavity_operators(system.model.space)
+
     records: list[SpectrumRecord] = []
-    for value in grid_points(spec):
+    for value in grid:
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(_solve_point(spec, value, eta, t0, tol))
+                records.append(_solve_point(spec, system, operators, value, t0, tol))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records
@@ -296,10 +321,14 @@ def convergence_study(
     rows = []
     for n_max in n_max_list:
         for delta in deltas_mhz:
-            point = replace(params, n_max=n_max, delta=delta)
-            solution = steady_state(build_model(point), tol)
-            photons = max(mean_photon_number(solution.rho), 0.0)
-            coherent = abs(mean_cavity_amplitude(solution.rho)) ** 2
+            model = build_model(replace(params, n_max=n_max, delta=delta))
+            try:
+                solution = steady_state(model, tol)
+            except SteadyStateConvergenceError as exc:
+                raise SteadyStateConvergenceError(
+                    f"n_max = {n_max}, delta = {delta} MHz: {exc}", solution=exc.solution
+                ) from exc
+            photons, coherent = _readout(solution, cavity_operators(model.space))
             trans = coherent / params.n_p if params.n_p > 0 else photons
             rows.append(TruncationRow(n_max, delta, trans, photons))
 

@@ -10,7 +10,7 @@ from hypothesis import assume, given
 from hypothesis import strategies as st
 
 import cavity_eit
-from cavity_eit import ConfigError, RunConfig
+from cavity_eit import ConfigError, RunConfig, cli
 from cavity_eit.cli import main
 
 SMALL_CONFIG = """
@@ -314,17 +314,65 @@ def test_undecodable_input_exits_with_error_record(tmp_path, capsys, command):
 
 @pytest.mark.parametrize(
     "command",
-    [["eit-sweep", "--atoms", "0"], ["converge", "--nmax-list", "1,2"]],
-    ids=["eit-sweep", "converge"],
+    [["eit-sweep", "--atoms", "0"], ["converge", "--nmax-list", "1,2"],
+     ["cavity-scan", "--atoms", "0"]],
+    ids=["eit-sweep", "converge", "cavity-scan"],
 )
 @pytest.mark.parametrize("target", ["missing-dir", "is-dir"])
-def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsys,
+def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsys, monkeypatch,
                                                    command, target):
+    # the output is checked before any point is solved
+    def forbidden(*args, **kwargs):
+        pytest.fail("computation started before --out was opened")
+
+    monkeypatch.setattr(cli, "run_sweep", forbidden)
+    monkeypatch.setattr(cli, "convergence_study", forbidden)
     out = {"missing-dir": tmp_path / "nowhere" / "o.csv", "is-dir": tmp_path}[target]
     assert main(command + ["--config", small_config, "--out", str(out)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert str(out) in record["message"]
+
+
+# every rate and detuning of the working point scaled by 1e6: the solve
+# misses the 1e-9 residual tolerance
+SCALED_CONFIG = """
+g = 3e6
+omega_con = 2.8e6
+gamma = 2.6e6
+kappa = 4e5
+gamma_deph = 1.5e5
+delta_p = 2e7
+light_shift = 1e5
+omega_d = -2.012e8
+omega_f = 2.51e8
+"""
+
+
+def test_converge_residual_miss_exits_with_error_record(tmp_path, capsys):
+    config = tmp_path / "scaled.cfg"
+    config.write_text(SCALED_CONFIG, encoding="utf-8")
+    out = tmp_path / "converge.csv"
+    assert main(["converge", "--config", str(config), "--nmax-list", "1,2",
+                 "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SteadyStateConvergenceError"
+    assert "n_max" in record["message"] and "tolerance" in record["message"]
+    assert not out.exists()
+
+
+def test_sweep_point_without_solution_exits_with_error_record(tmp_path, small_config, capsys,
+                                                              monkeypatch):
+    def broken(self, value, tol):
+        raise cavity_eit.SteadyStateConvergenceError("solution violates state invariants")
+
+    monkeypatch.setattr(cavity_eit.liouville.ParametricSteadyState, "solve", broken)
+    out = tmp_path / "o.csv"
+    assert main(["eit-sweep", "--config", small_config, "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "SteadyStateConvergenceError"
+    assert "sweep point" in record["message"]
+    assert not out.exists()
 
 
 def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):

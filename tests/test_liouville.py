@@ -30,7 +30,8 @@ from cavity_eit import (
     transition_operator,
     two_level_model,
 )
-from cavity_eit.liouville import unvectorize, vectorize
+from cavity_eit.liouville import ParametricSteadyState, unvectorize, vectorize
+from cavity_eit.model import scan_operator
 
 TWO_PI = 2.0 * math.pi
 
@@ -240,6 +241,31 @@ def test_condition_estimate_brackets_exact_condition():
     exact = np.linalg.cond(system, 1)
     estimate = steady_state(model).diagnostics.condition_estimate
     assert exact / 3.0 <= estimate <= exact * (1.0 + 1e-9)
+
+
+def test_parametric_system_rejects_non_diagonal_operator():
+    model = build_model(PhysicsParams())
+    hopping = transition_operator(model.space, 0, upper=1, lower=0)
+    with pytest.raises(ValueError, match="diagonal"):
+        ParametricSteadyState(model, hopping + hopping.dagger())
+    with pytest.raises(ValueError, match="diagonal"):
+        ParametricSteadyState(model, 1j * identity(model.space))
+
+
+def test_parametric_system_matches_rebuilt_generator():
+    # the diagonal update reproduces a generator assembled at each value
+    model = build_model(replace(PhysicsParams(), delta=0.0))
+    step = scan_operator(PhysicsParams(), "delta")
+    system = ParametricSteadyState(model, step)
+    for value in (-0.9, 0.25, 1.7):
+        shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
+        swept = system.solve(value)
+        single = steady_state(shifted)
+        assert np.max(np.abs(swept.rho.matrix - single.rho.matrix)) < 1e-12
+        assert swept.diagnostics.condition_estimate == pytest.approx(
+            single.diagnostics.condition_estimate, rel=1e-12
+        )
+        assert swept.residual_norm < 1e-13
 
 
 def test_steady_state_degenerate_rejected():

@@ -3,6 +3,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cavity_eit import (
     ConfigError,
@@ -18,6 +20,7 @@ from cavity_eit import (
     two_level_model,
     two_level_transmission,
 )
+from cavity_eit.model import scan_operator
 
 TWO_PI = 2.0 * math.pi
 WORKING_POINT = PhysicsParams()
@@ -84,6 +87,47 @@ def test_hamiltonian_hermitian_for_random_params():
         )
         ham = build_model(params).hamiltonian.matrix
         assert np.max(np.abs(ham - ham.conj().T)) < 1e-9
+
+
+_BUILDERS = {"five": build_model, "three": three_level_model, "two": two_level_model}
+_RATE = st.floats(min_value=0.0, max_value=10.0)
+_DETUNING = st.floats(min_value=-300.0, max_value=300.0)
+
+
+@st.composite
+def _scheme_and_params(draw):
+    scheme = draw(st.sampled_from(sorted(_BUILDERS)))
+    share_d, share_e = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
+    params = PhysicsParams(
+        g=draw(_RATE), omega_con=draw(_RATE), gamma=draw(_RATE), kappa=draw(st.floats(0.01, 10.0)),
+        gamma_deph=draw(_RATE), n_p=draw(st.floats(0.0, 1.0)),
+        delta_p=draw(_DETUNING), delta_p_cav=draw(_DETUNING), delta=draw(_DETUNING),
+        light_shift=draw(_DETUNING), omega_d=draw(_DETUNING), omega_f=draw(_DETUNING),
+        r_d=draw(_RATE), r_e=draw(_RATE), r_f=draw(_RATE), c_d=draw(_RATE), c_e=draw(_RATE),
+        b_d_g1=share_d, b_d_g2=1.0 - share_d, b_e_g1=share_e, b_e_g2=1.0 - share_e,
+        n_max=draw(st.sampled_from((1, 2))),
+        n_atoms=draw(st.sampled_from((0, 1, 2))) if scheme == "five" else 1,
+    )
+    return scheme, params
+
+
+@settings(max_examples=60, deadline=None)
+@given(_scheme_and_params(), st.sampled_from(("delta", "delta_p_cav")), _DETUNING)
+def test_hamiltonian_affine_in_scan_variable_property(scheme_params, field, value):
+    # a sweep solves H(v) = H(0) + v*G; the builder at v must agree with it
+    scheme, params = scheme_params
+    builder = _BUILDERS[scheme]
+    eta = drive_amplitude(params)  # pinned, as in a sweep
+    base = builder(replace(params, **{field: 0.0}), drive_eta=eta).hamiltonian
+    step = scan_operator(params, field, scheme)
+    direct = builder(replace(params, **{field: value}), drive_eta=eta).hamiltonian.matrix
+    assert np.count_nonzero(step.matrix - np.diag(np.diag(step.matrix))) == 0
+    assert np.max(np.abs(direct - (base + value * step).matrix)) <= 1e-12 * np.max(np.abs(direct))
+
+
+def test_scan_operator_rejects_other_fields():
+    with pytest.raises(ValueError, match="scan variable"):
+        scan_operator(WORKING_POINT, "kappa")
 
 
 def test_model_shapes_and_collapse_counts():

@@ -11,9 +11,18 @@ from cavity_eit import (
     PhysicsParams,
     SpectrumRecord,
     SweepSpec,
+    build_model,
     convergence_study,
+    drive_amplitude,
     find_extrema,
+    liouville,
+    mean_cavity_amplitude,
+    mean_photon_number,
     run_sweep,
+    steady_state,
+    sweep,
+    three_level_model,
+    two_level_model,
 )
 from cavity_eit.sweep import ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL, VAR_PROBE_CAVITY, VAR_TWO_PHOTON
 
@@ -129,6 +138,62 @@ def test_capacity_error_names_the_point():
     spec = SweepSpec(VAR_TWO_PHOTON, 0.0, 0.1, 2, params)
     with pytest.raises(CapacityError, match="sweep point"):
         run_sweep(spec)
+
+
+@pytest.mark.parametrize(
+    "variable, scheme, params, window",
+    [
+        (VAR_TWO_PHOTON, "five", WORKING_POINT, (-0.9, 1.7)),
+        (VAR_TWO_PHOTON, "three", WORKING_POINT, (-0.9, 1.7)),
+        (VAR_PROBE_CAVITY, "five", replace(WORKING_POINT, n_atoms=0), (-3.0, 3.0)),
+        (VAR_PROBE_CAVITY, "two", WORKING_POINT, (-3.0, 3.0)),
+        (VAR_TWO_PHOTON, "five", replace(WORKING_POINT, n_atoms=2, n_max=1), (0.0, 1.5)),
+    ],
+    ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "two-atoms"],
+)
+def test_sweep_matches_per_point_solves(variable, scheme, params, window):
+    # each point is a diagonal update of one system; rebuilding the model
+    # and the generator at the point must give the same record
+    n_points = 2 if params.n_atoms == 2 else 5
+    spec = SweepSpec(variable, *window, n_points, params, level_scheme=scheme)
+    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
+    field = "delta" if variable == VAR_TWO_PHOTON else "delta_p_cav"
+    eta = drive_amplitude(params)
+    tol = 1e-9
+    records = run_sweep(spec, tol=tol)
+    assert [r.sweep_value for r in records] == list(np.linspace(*window, n_points))
+    for rec in records:
+        solution = steady_state(builder(replace(params, **{field: rec.sweep_value}), drive_eta=eta))
+        coherent = abs(mean_cavity_amplitude(solution.rho)) ** 2 / params.n_p
+        photons = max(mean_photon_number(solution.rho), 0.0)
+        assert rec.transmission_rel == pytest.approx(coherent, rel=1e-12, abs=0)
+        assert rec.photon_number == pytest.approx(photons, rel=1e-12, abs=0)
+        assert rec.converged and rec.residual_norm <= tol
+
+
+def test_semiclassical_sweep_builds_no_model(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("a closed-form sweep built a master-equation model")
+
+    monkeypatch.setitem(sweep._BUILDERS, "five", forbidden)
+    spec = SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 5, WORKING_POINT, engines=(ENGINE_SEMICLASSICAL,))
+    assert len(run_sweep(spec)) == 5
+
+
+def test_sweep_builds_and_assembles_once(monkeypatch):
+    calls = {"build": 0, "assemble": 0}
+
+    def counted(name, func):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return func(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setitem(sweep._BUILDERS, "five", counted("build", build_model))
+    monkeypatch.setattr(liouville, "build_superoperator",
+                        counted("assemble", liouville.build_superoperator))
+    run_sweep(SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 7, WORKING_POINT))
+    assert calls == {"build": 1, "assemble": 1}
 
 
 def test_sweep_requires_probe():
