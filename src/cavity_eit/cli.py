@@ -96,23 +96,28 @@ def _output(path: str, deterministic: bool):
         raise
 
 
+def _write_spectrum_csv(handle, sweep_column: str, records: list[SpectrumRecord]):
+    """The spectrum rows that ``_read_spectrum_csv`` reads back."""
+    writer = csv.writer(handle)
+    writer.writerow((sweep_column,) + _SPECTRUM_COLUMNS)
+    for rec in records:
+        writer.writerow(
+            (
+                _fmt(rec.sweep_value),
+                _fmt(rec.transmission_rel),
+                _fmt(rec.photon_number),
+                _fmt(rec.absorption_part),
+                _fmt(rec.dispersion_part),
+                rec.engine,
+                _fmt(rec.residual_norm),
+            )
+        )
+
+
 def _sweep_to_csv(spec: SweepSpec, sweep_column: str, args) -> int:
     with _output(args.out, args.deterministic) as handle:
         records = run_sweep(spec)
-        writer = csv.writer(handle)
-        writer.writerow((sweep_column,) + _SPECTRUM_COLUMNS)
-        for rec in records:
-            writer.writerow(
-                (
-                    _fmt(rec.sweep_value),
-                    _fmt(rec.transmission_rel),
-                    _fmt(rec.photon_number),
-                    _fmt(rec.absorption_part),
-                    _fmt(rec.dispersion_part),
-                    rec.engine,
-                    _fmt(rec.residual_norm),
-                )
-            )
+        _write_spectrum_csv(handle, sweep_column, records)
     return _exit_status(records)
 
 

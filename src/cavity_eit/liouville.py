@@ -9,9 +9,11 @@ trace functional and solving the resulting linear system with one sparse LU
 factorization.  A family H + v*G with G real diagonal changes only the
 diagonal of that system, so a sweep over v assembles it once and each value
 is one diagonal update and one LU; a single solve is the case v = 0.
-L(rho) by direct products keeps the anticommutator form, and
-the explicit RK4 integrator uses only that path, so both serve as independent
-cross-checks of the vectorized solver.
+L(rho) itself is applied by one closure built once per model from
+entrywise products: a sparse K = -iH_eff for K rho + (K rho^+)^+ and one
+gather for the jump sum.  It never touches the vectorized generator, so the
+steady-state residual and the explicit RK4 integrator, which use only that
+closure, serve as independent cross-checks of the vectorized solver.
 """
 
 from __future__ import annotations
@@ -97,54 +99,46 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
     return np.asarray(vec).reshape((dim, dim), order="F")
 
 
-# Above this Hilbert dimension the L(rho) closure works with sparse operator
-# factors; the atomic operators have O(dim) nonzeros, so sparse products are
-# several times faster once the matrices stop being tiny.
-_SPARSE_APPLY_DIM = 48
-
-
 def _apply_factory(model: LindbladModel):
-    """Closure evaluating L(rho) by direct matrix products (no vectorization)."""
-    ham = model.hamiltonian.matrix
-    dim = ham.shape[0]
-    if dim >= _SPARSE_APPLY_DIM:
-        ham_sp = sp.csr_array(ham)
-        cs = [sp.csr_array(c.matrix) for c in model.collapse_ops]
-        cds = [c.conj().T.tocsr() for c in cs]
-        anticomm = sum(
-            (cd @ c for cd, c in zip(cds, cs)),
-            start=sp.csr_array((dim, dim), dtype=complex),
-        )
+    """Closure evaluating L(rho) by entrywise products (no vectorized generator).
 
-        def apply(rho: np.ndarray) -> np.ndarray:
-            out = -1j * (ham_sp @ rho - rho @ ham_sp)
-            for c, cd in zip(cs, cds):
-                out += (c @ rho) @ cd
-            if model.collapse_ops:
-                out -= 0.5 * (anticomm @ rho + rho @ anticomm)
-            return out
+    L(rho) = K rho + (K rho^+)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
+    as one CSR matrix.  The jump sum J(rho) = sum_c c rho c^+ is one flat
+    gather over the pairs (p, q) of nonzero entries of the same collapse
+    operator, out[r_p, r_q] += v_p conj(v_q) rho[s_p, s_q], summed with
+    ``np.bincount``; the table has sum_c nnz(c)^2 entries.
+    """
+    dim = model.space.total_dim
+    size = dim * dim
+    k = -1j * model.hamiltonian.matrix
+    empty = np.zeros(0, dtype=np.intp)
+    targets, sources, weights = [empty], [empty], [empty.astype(complex)]
+    for op in model.collapse_ops:
+        c = op.matrix
+        k = k - 0.5 * (c.conj().T @ c)
+        rows, cols = np.nonzero(c)
+        values = c[rows, cols]
+        targets.append((dim * rows[:, None] + rows).ravel())
+        sources.append((dim * cols[:, None] + cols).ravel())
+        weights.append(np.outer(values, values.conj()).ravel())
+    k = sp.csr_array(k)
+    targets, sources, weights = map(np.concatenate, (targets, sources, weights))
 
-        return apply
+    def apply(rho: np.ndarray) -> np.ndarray:
+        both = k @ np.hstack([rho, rho.conj().T])
+        terms = weights * rho.reshape(-1)[sources]
+        jumps = np.bincount(targets, terms.real, size) + 1j * np.bincount(targets, terms.imag, size)
+        return both[:, :dim] + both[:, dim:].conj().T + jumps.reshape(dim, dim)
 
-    if model.collapse_ops:
-        stack = np.stack([c.matrix for c in model.collapse_ops])
-        stack_dag = stack.conj().transpose(0, 2, 1)
-        anticomm_d = (stack_dag @ stack).sum(axis=0)
-    else:
-        stack = stack_dag = anticomm_d = None
-
-    def apply_dense(rho: np.ndarray) -> np.ndarray:
-        out = -1j * (ham @ rho - rho @ ham)
-        if stack is not None:
-            out += (stack @ rho @ stack_dag).sum(axis=0)
-            out -= 0.5 * (anticomm_d @ rho + rho @ anticomm_d)
-        return out
-
-    return apply_dense
+    return apply
 
 
 def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
-    """L(rho) = -i[H, rho] + sum_c (c rho c^+ - (c^+c rho + rho c^+c)/2)."""
+    """L(rho) = -i[H, rho] + sum_c (c rho c^+ - (c^+c rho + rho c^+c)/2).
+
+    A one-shot call: it builds the closure of :func:`_apply_factory` each
+    time, so repeated applications of one model should hold that closure.
+    """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     dim = model.space.total_dim
     if mat.shape != (dim, dim):
@@ -185,7 +179,9 @@ class ParametricSteadyState:
     zero, so replacing row 0 by the trace functional commutes with the
     update.  The trace-replaced system is assembled once in CSC form with
     its whole diagonal in the pattern; each value v then costs a fresh data
-    vector, one sparse LU and the same checks as a single solve.
+    vector, one sparse LU and the same checks as a single solve.  The
+    residual max|L_v(rho)| uses one L(rho) closure built at v = 0 plus
+    -i[vG, rho] by diagonal products.
     """
 
     def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
@@ -225,8 +221,9 @@ class ParametricSteadyState:
         on_diagonal = system.indices == np.repeat(k, np.diff(system.indptr))
         self._step = np.zeros_like(self._base)
         self._step[on_diagonal] = 1j * (g[k // dim] - g[k % dim])
+        self._commutator = g[:, None] - g
+        self._apply = _apply_factory(model)
         self.model = model
-        self.sweep_op = sweep_op
 
     def solve(self, value: float = 0.0, tol: float = DEFAULT_TOL) -> SteadyStateSolution:
         """Solve L(v) vec(rho) = 0 with trace(rho) = 1 at v = ``value``.
@@ -235,12 +232,8 @@ class ParametricSteadyState:
         one-dimensional, and SteadyStateConvergenceError (carrying the
         partial solution) when the residual max|L(rho)| exceeds ``tol``.
         """
-        model = self.model
-        if self.sweep_op is not None:
-            model = LindbladModel(
-                model.space, model.hamiltonian + value * self.sweep_op, model.collapse_ops
-            )
-        dim = model.space.total_dim
+        space = self.model.space
+        dim = space.total_dim
         size = dim * dim
         # a fresh vector per value: a live SuperLU never sees its input change
         data = self._base + value * self._step
@@ -286,7 +279,9 @@ class ParametricSteadyState:
         rho = unvectorize(vec, dim)
         rho = 0.5 * (rho + rho.conj().T)
         rho = rho / np.trace(rho).real
-        residual = float(np.max(np.abs(liouvillian_apply(model, rho))))
+        # L_v(rho) = L_0(rho) - i[vG, rho]
+        image = self._apply(rho) - 1j * value * self._commutator * rho
+        residual = float(np.max(np.abs(image)))
         diagnostics = SolverDiagnostics(
             method=_SOLVE_METHOD,
             dimension=size,
@@ -294,7 +289,7 @@ class ParametricSteadyState:
             near_degenerate=near,
         )
         try:
-            state = DensityMatrix(model.space, rho)
+            state = DensityMatrix(space, rho)
         except ValueError as exc:
             raise SteadyStateConvergenceError(
                 f"solution violates state invariants: {exc}"

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,6 +13,7 @@ from hypothesis import strategies as st
 import cavity_eit
 from cavity_eit import ConfigError, RunConfig, cli
 from cavity_eit.cli import main
+from cavity_eit.sweep import ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL, SpectrumRecord
 
 SMALL_CONFIG = """
 # compact sweep for fast end-to-end runs
@@ -389,6 +391,39 @@ def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
         )
         outputs.append(out.read_bytes())
     assert outputs[0] == outputs[1]
+
+
+_OPTIONAL = st.none() | _FINITE
+
+
+@st.composite
+def _spectrum_records(draw):
+    return SpectrumRecord(
+        sweep_value=draw(_FINITE),
+        transmission_rel=draw(_FINITE),
+        photon_number=draw(_FINITE),
+        absorption_part=draw(_OPTIONAL),
+        dispersion_part=draw(_OPTIONAL),
+        residual_norm=draw(_OPTIONAL),
+        engine=draw(st.sampled_from((ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL))),
+    )
+
+
+@given(st.lists(_spectrum_records(), max_size=8))
+def test_spectrum_csv_round_trip_property(tmp_path_factory, records):
+    path = tmp_path_factory.mktemp("csv") / "spectrum.csv"
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        cli._write_spectrum_csv(handle, "delta_MHz", records)
+    column, back = cli._read_spectrum_csv(str(path))
+    assert column == "delta_MHz"
+    assert len(back) == len(records)
+    for rec, read in zip(records, back):
+        for field in dataclasses.fields(SpectrumRecord):
+            value, got = getattr(rec, field.name), getattr(read, field.name)
+            if isinstance(value, float):
+                assert got == float(format(value, ".12g"))
+            else:
+                assert got == value
 
 
 def test_exit_status_reflects_flagged_records():

@@ -4,6 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 import scipy.linalg
+from scipy.sparse.linalg import expm_multiply
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -36,8 +37,12 @@ from cavity_eit.model import scan_operator
 TWO_PI = 2.0 * math.pi
 
 
+def _random_matrix(rng, dim):
+    return rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+
+
 def _random_density(rng, dim):
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    raw = _random_matrix(rng, dim)
     rho = raw @ raw.conj().T
     return rho / np.trace(rho)
 
@@ -56,14 +61,24 @@ def _driven_cavity(eta, kappa, delta_pc, n_max):
     return LindbladModel(space, ham, (math.sqrt(2.0 * kappa) * low,)), space
 
 
+def _reference_apply(model, rho):
+    """L(rho) term by term: the loop the fast apply must reproduce."""
+    ham = model.hamiltonian.matrix
+    out = -1j * (ham @ rho - rho @ ham)
+    for op in model.collapse_ops:
+        c = op.matrix
+        cdc = c.conj().T @ c
+        out = out + c @ rho @ c.conj().T - 0.5 * (cdc @ rho + rho @ cdc)
+    return out
+
+
 def _random_model(rng, dims=(2, 3), n_collapse=2):
     space = HilbertSpace(dims)
     dim = space.total_dim
-    raw = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
+    raw = _random_matrix(rng, dim)
     ham = OperatorMatrix(space, 0.5 * (raw + raw.conj().T))
     collapse = tuple(
-        OperatorMatrix(space, rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim)))
-        for _ in range(n_collapse)
+        OperatorMatrix(space, _random_matrix(rng, dim)) for _ in range(n_collapse)
     )
     return LindbladModel(space, ham, collapse)
 
@@ -140,7 +155,7 @@ _DETUNING = st.floats(min_value=-300.0, max_value=300.0)
 
 
 @st.composite
-def _models(draw):
+def _models(draw, atoms=(0, 1)):
     scheme = draw(st.sampled_from(("five", "three", "two")))
     share_d, share_e = draw(st.floats(0.0, 1.0)), draw(st.floats(0.0, 1.0))
     params = PhysicsParams(
@@ -151,7 +166,7 @@ def _models(draw):
         r_d=draw(_RATE), r_e=draw(_RATE), r_f=draw(_RATE), c_d=draw(_RATE), c_e=draw(_RATE),
         b_d_g1=share_d, b_d_g2=1.0 - share_d, b_e_g1=share_e, b_e_g2=1.0 - share_e,
         n_max=draw(st.sampled_from((1, 2))),
-        n_atoms=draw(st.sampled_from((0, 1))) if scheme == "five" else 1,
+        n_atoms=draw(st.sampled_from(atoms)) if scheme == "five" else 1,
     )
     builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
     return builder(params)
@@ -167,6 +182,28 @@ def test_superoperator_matches_apply_property(model, seed):
     assert np.max(np.abs(image - direct)) <= 1e-12 * scale
     assert abs(np.trace(image)) <= 1e-12 * scale
     assert np.max(np.abs(image - image.conj().T)) <= 1e-12 * scale
+
+
+@settings(max_examples=60, deadline=None)
+@given(_models(atoms=(0, 1, 2)), st.integers(min_value=0, max_value=2**32 - 1))
+def test_apply_matches_reference_loop_property(model, seed):
+    # random non-Hermitian rho, so L(rho) and L(rho^+)^+ are not tied together
+    rho = _random_matrix(np.random.default_rng(seed), model.space.total_dim)
+    reference = _reference_apply(model, rho)
+    scale = np.max(np.abs(reference))
+    assert np.max(np.abs(liouvillian_apply(model, rho) - reference)) <= 1e-12 * scale
+
+
+@pytest.mark.parametrize("dims, n_collapse", [((2,), 1), ((2, 3), 2), ((3, 4), 3), ((2, 2, 3), 4)])
+def test_apply_matches_reference_loop_dense_collapse(dims, n_collapse):
+    # a dense collapse operator has dim^2 nonzeros, so dim^4 pairs in the jump sum
+    rng = np.random.default_rng(sum(dims) + n_collapse)
+    for _ in range(5):
+        model = _random_model(rng, dims, n_collapse)
+        rho = _random_matrix(rng, model.space.total_dim)
+        reference = _reference_apply(model, rho)
+        scale = np.max(np.abs(reference))
+        assert np.max(np.abs(liouvillian_apply(model, rho) - reference)) <= 1e-12 * scale
 
 
 def test_superoperator_qubit_decay_spectrum():
@@ -268,6 +305,33 @@ def test_parametric_system_matches_rebuilt_generator():
         assert swept.residual_norm < 1e-13
 
 
+@pytest.mark.parametrize(
+    "field, scheme, params, values",
+    [
+        ("delta", "five", PhysicsParams(), (-0.9, 0.3, 1.7)),
+        ("delta", "three", PhysicsParams(), (-0.9, 0.3, 1.7)),
+        ("delta_p_cav", "five", PhysicsParams(), (-3.0, 0.5, 3.0)),
+        ("delta_p_cav", "two", PhysicsParams(), (-3.0, 3.0)),
+        ("delta", "five", replace(PhysicsParams(), n_atoms=2, n_max=1), (0.0, 1.5)),
+    ],
+    ids=["five-delta", "three-delta", "five-cavity", "two-cavity", "two-atoms"],
+)
+def test_parametric_residual_is_true_residual(field, scheme, params, values):
+    # the residual reuses the closure built at v = 0; it must still be the
+    # true max|L(rho)| of the model rebuilt at v, not a re-check of the
+    # system's own diagonal update
+    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
+    params = replace(params, **{field: 0.0})
+    model = builder(params)
+    step = scan_operator(params, field, scheme)
+    system = ParametricSteadyState(model, step)
+    for value in values:
+        solution = system.solve(value)
+        shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
+        direct = float(np.max(np.abs(liouvillian_apply(shifted, solution.rho))))
+        assert solution.residual_norm == pytest.approx(direct, rel=1e-9, abs=1e-15)
+
+
 def test_steady_state_degenerate_rejected():
     # no dynamics at all: every state is steady
     space = HilbertSpace((2,))
@@ -317,6 +381,22 @@ def test_evolve_stationary_on_steady_state():
     solution = steady_state(model)
     final = evolve(model, solution.rho, 1.0)
     assert trace_distance(final, solution.rho) < 1e-9
+
+
+def test_evolve_transient_matches_exact_propagator():
+    # the oracle's seed-0 start: the atom in (|g1><g1| + |g2><g2|)/2, the
+    # cavity in vacuum, far from the steady state
+    params = replace(PhysicsParams(), delta=0.1)
+    model = build_model(params)
+    atom = np.diag([0.5, 0.5, 0.0, 0.0, 0.0])
+    vacuum = np.zeros((params.n_max + 1,) * 2)
+    vacuum[0, 0] = 1.0
+    rho0 = DensityMatrix(model.space, np.kron(atom, vacuum))
+    t_final = 1.0
+    final = evolve(model, rho0, t_final)
+    exact = expm_multiply(build_superoperator(model) * t_final, vectorize(rho0.matrix))
+    assert trace_distance(final, rho0) > 0.1
+    assert trace_distance(final, unvectorize(exact, model.space.total_dim)) <= 1e-9
 
 
 def test_evolve_validates_inputs():
