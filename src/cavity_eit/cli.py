@@ -72,24 +72,18 @@ def _load_config(path: str | None) -> RunConfig:
     return RunConfig.from_file(path)
 
 
-def _open_out(path: str, deterministic: bool):
-    """Open an output CSV; unless ``deterministic``, head it with a timestamp."""
+@contextlib.contextmanager
+def _output(path: str, deterministic: bool):
+    """Open an output CSV before any solve, headed with a timestamp unless
+    ``deterministic``; a command that fails leaves no partial file."""
     try:
         handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    if not deterministic:
-        stamp = datetime.now(timezone.utc).isoformat()
-        handle.write(f"# generated {stamp}\n")
-    return handle
-
-
-@contextlib.contextmanager
-def _output(path: str, deterministic: bool):
-    """``_open_out`` before any solve; a command that fails leaves no partial file."""
-    handle = _open_out(path, deterministic)
     try:
         with handle:
+            if not deterministic:
+                handle.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
             yield handle
     except BaseException:
         os.remove(path)

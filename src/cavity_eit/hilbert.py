@@ -51,7 +51,7 @@ class OperatorMatrix:
     """Dense complex matrix acting on a composite Hilbert space.
 
     Instances are immutable after construction (the underlying array is
-    marked read-only) and safe to share across threads.
+    marked read-only).
     """
 
     space: HilbertSpace

@@ -146,7 +146,7 @@ def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
     return _apply_factory(model)(mat)
 
 
-def build_superoperator(model: LindbladModel, *, cap: int = SUPEROP_DIM_CAP) -> sp.csr_matrix:
+def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix L with L vec(rho) = vec(L(rho)) under column stacking.
 
     Assembled from the effective Hamiltonian H_eff = H - (i/2) sum_c c^+c as
@@ -154,9 +154,9 @@ def build_superoperator(model: LindbladModel, *, cap: int = SUPEROP_DIM_CAP) -> 
     """
     dim = model.space.total_dim
     size = dim * dim
-    if size > cap:
+    if size > SUPEROP_DIM_CAP:
         raise CapacityError(
-            f"vectorized generator dimension {size} exceeds the cap {cap}; "
+            f"vectorized generator dimension {size} exceeds the cap {SUPEROP_DIM_CAP}; "
             f"reduce the Hilbert space (total dimension {dim})"
         )
     h_eff = model.hamiltonian.matrix.astype(complex)

@@ -7,10 +7,11 @@ The atom enters the cavity field equation through one complex rate
 
 (all angular, rad/us), where gamma_gg is the g1-g2 coherence decay rate --
 gamma_deph/2 for the dephasing collapse used by the master-equation models.
-Re P adds to the cavity loss, Im P to the cavity detuning.  The linear
-susceptibility is proportional to i P(delta) with a positive real scale
-left open -- only peak positions, widths and zeros are physically fixed
-here, so those are what the package asserts.
+Re P adds to the cavity loss, Im P to the cavity detuning, each N times
+for N = ``params.n_atoms`` atoms.  The linear susceptibility is
+proportional to i P(delta) with a positive real scale left open -- only
+peak positions, widths and zeros are physically fixed here, so those are
+what the package asserts.
 """
 
 from __future__ import annotations
@@ -21,6 +22,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .model import TWO_PI, PhysicsParams, ground_coherence_decay
+
+_PEAK_GRID_POINTS = 20001
 
 
 @dataclass(frozen=True)
@@ -60,18 +63,16 @@ def atomic_response(params: PhysicsParams, delta: float) -> AtomicResponse:
     return AtomicResponse(delta=delta, value=g**2 / (gamma + 1j * delta_p + term))
 
 
-def transmission_semiclassical(params: PhysicsParams, delta: float, n_atoms: int) -> float:
-    """Relative transmission T/T0 from input-output theory.
+def transmission_semiclassical(params: PhysicsParams, delta: float) -> float:
+    """Relative transmission T/T0 of ``params.n_atoms`` atoms from input-output theory.
 
     ``delta`` in rad/us.  Normalized to the empty cavity at the same
     probe-cavity detuning, so n_atoms = 0 gives exactly 1.
     """
-    if n_atoms < 0:
-        raise ValueError("n_atoms must be nonnegative")
     kappa = TWO_PI * params.kappa
     dpc = TWO_PI * params.delta_p_cav
     response = atomic_response(params, delta).value
-    denom = kappa + 1j * dpc + n_atoms * response
+    denom = kappa + 1j * dpc + params.n_atoms * response
     return float(abs(kappa / denom) ** 2 * (kappa**2 + dpc**2) / kappa**2)
 
 
@@ -99,11 +100,9 @@ def epsilon_mixing(params: PhysicsParams) -> float:
     return TWO_PI * params.omega_con / (2.0 * _control_detuning(params))
 
 
-def susceptibility(params: PhysicsParams, delta: float, scale: float = 1.0) -> complex:
-    """Linear susceptibility up to a positive real scale: chi = scale * i P."""
-    if scale <= 0.0:
-        raise ValueError("the susceptibility scale factor must be positive")
-    return scale * 1j * atomic_response(params, delta).value
+def susceptibility(params: PhysicsParams, delta: float) -> complex:
+    """Linear susceptibility chi = i P, i.e. up to the positive real scale left open."""
+    return 1j * atomic_response(params, delta).value
 
 
 def refractive_index(chi: complex) -> complex:
@@ -114,32 +113,31 @@ def refractive_index(chi: complex) -> complex:
     return complex(np.sqrt(value))
 
 
-def two_level_transmission(params: PhysicsParams, n_atoms: int = 1) -> float:
+def two_level_transmission(params: PhysicsParams) -> float:
     """No-control dispersive limit |kappa/(kappa + i dpc + N g^2/(gamma + i delta_p))|^2,
-    normalized like :func:`transmission_semiclassical`."""
+    N = ``params.n_atoms``, normalized like :func:`transmission_semiclassical`."""
     kappa = TWO_PI * params.kappa
     dpc = TWO_PI * params.delta_p_cav
     g = TWO_PI * params.g
     pole = g**2 / (TWO_PI * params.gamma + 1j * TWO_PI * params.delta_p)
-    denom = kappa + 1j * dpc + n_atoms * pole
+    denom = kappa + 1j * dpc + params.n_atoms * pole
     return float(abs(kappa / denom) ** 2 * (kappa**2 + dpc**2) / kappa**2)
 
 
-def absorption_peak_numeric(params: PhysicsParams, window: tuple[float, float] | None = None,
-                            n_grid: int = 20001) -> tuple[float, float]:
+def absorption_peak_numeric(params: PhysicsParams) -> tuple[float, float]:
     """Grid-based (position, FWHM) of the Re P peak, both in rad/us.
 
-    Independent of the closed forms above: locates the maximum on a fine
-    grid and brackets the half-maximum crossings by linear interpolation.
+    Locates the maximum on a fine grid spanning eight estimated widths on
+    either side of the closed-form position, and brackets the half-maximum
+    crossings by linear interpolation, so the result is independent of the
+    closed forms beyond the choice of window.
     """
-    if window is None:
-        center = delta_abs(params)
-        width = max(linewidth_abs(params), abs(center) * 0.5)
-        window = (center - 8.0 * width, center + 8.0 * width)
-    grid = np.linspace(window[0], window[1], n_grid)
+    center = delta_abs(params)
+    width = max(linewidth_abs(params), abs(center) * 0.5)
+    grid = np.linspace(center - 8.0 * width, center + 8.0 * width, _PEAK_GRID_POINTS)
     values = np.array([atomic_response(params, x).value.real for x in grid])
     peak = int(np.argmax(values))
-    if peak in (0, n_grid - 1):
+    if peak in (0, len(grid) - 1):
         raise ValueError("absorption peak not bracketed by the search window")
     half = values[peak] / 2.0
 
@@ -152,7 +150,7 @@ def absorption_peak_numeric(params: PhysicsParams, window: tuple[float, float] |
     while left > 0 and values[left] > half:
         left -= 1
     right = peak
-    while right < n_grid - 1 and values[right] > half:
+    while right < len(grid) - 1 and values[right] > half:
         right += 1
     if values[left] > half or values[right] > half:
         raise ValueError("half-maximum crossings outside the search window")

@@ -26,7 +26,7 @@ from .errors import (
     SteadyStateConvergenceError,
 )
 from .hilbert import expectation
-from .liouville import ParametricSteadyState, steady_state
+from .liouville import DEFAULT_TOL, ParametricSteadyState, steady_state
 from .model import (
     TWO_PI,
     PhysicsParams,
@@ -53,6 +53,10 @@ _BUILDERS = {"five": build_model, "three": three_level_model, "two": two_level_m
 DEFAULT_SWEEP_START = -0.9
 DEFAULT_SWEEP_STOP = 1.7
 DEFAULT_SWEEP_POINTS = 261
+
+# Largest |change| in T/T0 between the two largest truncations that
+# ``convergence_study`` still calls converged.
+TRUNCATION_THRESHOLD = 0.01
 
 
 @dataclass(frozen=True)
@@ -170,7 +174,7 @@ def _semiclassical_point(spec: SweepSpec, value: float, t0: float) -> SpectrumRe
     # formula sees the shifted two-photon detuning.
     delta_eff = TWO_PI * (value + params.light_shift)
     response = atomic_response(params, delta_eff)
-    trans = transmission_semiclassical(params, delta_eff, params.n_atoms)
+    trans = transmission_semiclassical(params, delta_eff)
     return SpectrumRecord(
         sweep_value=float(value),
         transmission_rel=trans,
@@ -183,7 +187,7 @@ def _semiclassical_point(spec: SweepSpec, value: float, t0: float) -> SpectrumRe
     )
 
 
-def run_sweep(spec: SweepSpec, *, tol: float = 1e-9) -> list[SpectrumRecord]:
+def run_sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOL) -> list[SpectrumRecord]:
     """Solve every grid point with every requested engine.
 
     Records are ordered by sweep value, then engine tag.  Master-equation
@@ -269,42 +273,27 @@ class TruncationRow(NamedTuple):
 
 @dataclass(frozen=True)
 class ConvergenceStudy:
-    """Transmission vs Fock truncation at a handful of two-photon detunings."""
+    """Transmission vs Fock truncation at a handful of two-photon detunings.
+
+    ``last_changes`` maps each detuning to the change in T/T0 between the
+    two largest truncations; ``converged`` is false when any of them exceeds
+    ``TRUNCATION_THRESHOLD`` in magnitude.
+    """
 
     n_max_list: tuple[int, ...]
     deltas_mhz: tuple[float, ...]
     rows: tuple[TruncationRow, ...]
+    last_changes: dict[float, float]
     converged: bool
-    threshold: float
-
-    def transmission(self, n_max: int, delta_mhz: float) -> float:
-        for row in self.rows:
-            if row.n_max == n_max and row.delta_mhz == delta_mhz:
-                return row.transmission_rel
-        raise KeyError((n_max, delta_mhz))
-
-    def change(self, n_low: int, n_high: int, delta_mhz: float) -> float:
-        return self.transmission(n_high, delta_mhz) - self.transmission(n_low, delta_mhz)
-
-    @property
-    def last_changes(self) -> dict[float, float]:
-        """Per-detuning change between the two largest truncations."""
-        lo, hi = self.n_max_list[-2], self.n_max_list[-1]
-        return {d: self.change(lo, hi, d) for d in self.deltas_mhz}
 
 
-def convergence_study(
-    params: PhysicsParams,
-    n_max_list: list[int],
-    deltas_mhz: list[float] | None = None,
-    *,
-    tol: float = 1e-9,
-    threshold: float = 0.01,
-) -> ConvergenceStudy:
+def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> ConvergenceStudy:
     """Solve the full model at each truncation and tabulate T/T0 per detuning.
 
-    Flags non-convergence when the change between the two largest
-    truncations exceeds ``threshold`` at any detuning.  With a zero probe
+    The detunings are 0, the absorption peak omega_con^2/(4 delta_p) (when
+    delta_p is nonzero) and 1.5 MHz, each once and in that order.  Flags
+    non-convergence when the change between the two largest truncations
+    exceeds ``TRUNCATION_THRESHOLD`` at any detuning.  With a zero probe
     drive the raw photon number (identically zero) is tabulated instead of
     the undefined transmission ratio.
     """
@@ -313,17 +302,16 @@ def convergence_study(
         raise ConfigError("a truncation study needs at least two n_max values")
     if any(b <= a for a, b in zip(n_max_list, n_max_list[1:])):
         raise ConfigError("n_max values must be strictly ascending")
-    if deltas_mhz is None:
-        abs_peak = params.omega_con**2 / (4.0 * params.delta_p) if params.delta_p else None
-        deltas_mhz = [0.0, 1.5] if abs_peak is None else [0.0, abs_peak, 1.5]
-    deltas_mhz = [float(d) for d in deltas_mhz]
+    abs_peak = params.omega_con**2 / (4.0 * params.delta_p) if params.delta_p else None
+    # dict.fromkeys drops a repeat (omega_con = 0 puts the peak at 0) and keeps the order.
+    deltas_mhz = list(dict.fromkeys([0.0, 1.5] if abs_peak is None else [0.0, abs_peak, 1.5]))
 
     rows = []
     for n_max in n_max_list:
         for delta in deltas_mhz:
             model = build_model(replace(params, n_max=n_max, delta=delta))
             try:
-                solution = steady_state(model, tol)
+                solution = steady_state(model)
             except SteadyStateConvergenceError as exc:
                 raise SteadyStateConvergenceError(
                     f"n_max = {n_max}, delta = {delta} MHz: {exc}", solution=exc.solution
@@ -332,14 +320,13 @@ def convergence_study(
             trans = coherent / params.n_p if params.n_p > 0 else photons
             rows.append(TruncationRow(n_max, delta, trans, photons))
 
-    study = ConvergenceStudy(
+    transmission = {(row.n_max, row.delta_mhz): row.transmission_rel for row in rows}
+    lo, hi = n_max_list[-2:]
+    last_changes = {d: transmission[hi, d] - transmission[lo, d] for d in deltas_mhz}
+    return ConvergenceStudy(
         n_max_list=tuple(n_max_list),
         deltas_mhz=tuple(deltas_mhz),
         rows=tuple(rows),
-        converged=True,
-        threshold=threshold,
+        last_changes=last_changes,
+        converged=all(abs(c) <= TRUNCATION_THRESHOLD for c in last_changes.values()),
     )
-    worst = max(abs(c) for c in study.last_changes.values())
-    if worst > threshold:
-        study = replace(study, converged=False)
-    return study

@@ -48,12 +48,6 @@ def _report(number: int, message: str):
 
 
 @pytest.fixture(scope="module")
-def n_two_solution():
-    params = replace(WORKING_POINT, n_atoms=2, delta=1.5)
-    return params, steady_state(build_model(params))
-
-
-@pytest.fixture(scope="module")
 def default_sweep():
     spec = SweepSpec(
         variable=VAR_TWO_PHOTON,
@@ -112,7 +106,7 @@ def test_criterion_04_absorption_peak_position_and_width():
 
     weak = replace(WORKING_POINT, gamma_deph=0.0, light_shift=0.0, n_p=1e-4)
     sc_min = minimize_scalar(
-        lambda d: transmission_semiclassical(weak, TWO_PI * float(d), 1),
+        lambda d: transmission_semiclassical(weak, TWO_PI * float(d)),
         bounds=(0.02, 0.25), method="bounded", options={"xatol": 1e-5},
     ).x
 

@@ -220,6 +220,17 @@ def test_converge_csv(tmp_path):
     assert [r[0] for r in rows] == ["1"] * 3 + ["2"] * 3
 
 
+def test_converge_without_control_solves_each_detuning_once(tmp_path):
+    # omega_con = 0 puts the absorption peak omega_con^2/(4 delta_p) at 0
+    config = tmp_path / "c.cfg"
+    config.write_text("omega_con = 0.0\n", encoding="utf-8")
+    out = tmp_path / "converge.csv"
+    assert main(["converge", "--config", str(config), "--nmax-list", "1,2",
+                 "--out", str(out), "--deterministic"]) == 0
+    _, rows = _read_rows(out)
+    assert [(r[0], r[1]) for r in rows] == [("1", "0"), ("1", "1.5"), ("2", "0"), ("2", "1.5")]
+
+
 def test_converge_rejects_bad_list(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["converge", "--nmax-list", "2,two", "--out", str(out)]) == 2

@@ -215,9 +215,10 @@ def test_superoperator_qubit_decay_spectrum():
 
 
 def test_superoperator_capacity_cap():
-    model = build_model(PhysicsParams())
+    # one subsystem of dimension 142: vectorized size 20164 > SUPEROP_DIM_CAP
+    model, _ = _driven_cavity(0.1, 1.0, 0.0, n_max=141)
     with pytest.raises(CapacityError):
-        build_superoperator(model, cap=100)
+        build_superoperator(model)
 
 
 def test_steady_state_annihilates():

@@ -43,6 +43,7 @@ def test_defaults_are_the_working_point():
         {"n_p": -1e-3},
         {"n_max": 0},
         {"n_atoms": 3},
+        {"n_atoms": -1},
         {"b_d_g1": 0.8},  # pair no longer sums to 1
         {"b_f_g1": 0.1, "b_f_g2": 0.9},  # forbidden decay branch
         {"r_d": -1.0},
@@ -251,7 +252,8 @@ def test_light_shift_translates_spectrum():
     assert with_shift - without == pytest.approx(-WORKING_POINT.light_shift, abs=5e-3)
 
 
-def test_atom_number_deepens_dispersive_shift():
+def test_atom_number_deepens_dispersive_shift(n_two_solution):
+    params_two_atoms, solution_two = n_two_solution
     t_one = _transmission(replace(WORKING_POINT, delta=1.5))
-    t_two = _transmission(replace(WORKING_POINT, delta=1.5, n_atoms=2))
+    t_two = relative_transmission(solution_two, params_two_atoms)
     assert t_two < t_one < 1.0

@@ -82,18 +82,19 @@ def test_dispersion_changes_sign_twice():
 
 
 def test_transmission_no_atoms():
+    empty = replace(WORKING_POINT, n_atoms=0)
     for delta in (-0.5, 0.0, 1.0):
-        assert transmission_semiclassical(WORKING_POINT, TWO_PI * delta, 0) == pytest.approx(1.0)
+        assert transmission_semiclassical(empty, TWO_PI * delta) == pytest.approx(1.0)
 
 
 def test_transmission_transparency_point():
     params = replace(WORKING_POINT, gamma_deph=0.0)
-    assert transmission_semiclassical(params, 0.0, 1) == pytest.approx(1.0)
+    assert transmission_semiclassical(params, 0.0) == pytest.approx(1.0)
 
 
 def test_transmission_two_level_value():
     params = replace(WORKING_POINT, omega_con=0.0)
-    value = transmission_semiclassical(params, TWO_PI * 0.5, 1)
+    value = transmission_semiclassical(params, TWO_PI * 0.5)
     # |kappa/(kappa + g^2/(gamma + i delta_p))|^2 with the quoted numbers
     assert value == pytest.approx(0.3949, abs=1e-3)
     assert 0.35 < value < 0.60
@@ -102,7 +103,7 @@ def test_transmission_two_level_value():
 
 def test_transmission_far_detuned_limit():
     for sign in (-1.0, 1.0):
-        value = transmission_semiclassical(WORKING_POINT, TWO_PI * sign * 50.0, 1)
+        value = transmission_semiclassical(WORKING_POINT, TWO_PI * sign * 50.0)
         assert abs(value - two_level_transmission(WORKING_POINT)) < 1e-3
 
 
@@ -111,16 +112,11 @@ def test_transmission_minimum_near_delta_abs():
 
     params = replace(WORKING_POINT, gamma_deph=0.0)
     result = minimize_scalar(
-        lambda d: transmission_semiclassical(params, float(d), 1),
+        lambda d: transmission_semiclassical(params, float(d)),
         bounds=(TWO_PI * 0.02, TWO_PI * 0.3),
         method="bounded",
     )
     assert abs(result.x - delta_abs(params)) < 0.3 * delta_abs(params)
-
-
-def test_transmission_rejects_negative_atom_number():
-    with pytest.raises(ValueError):
-        transmission_semiclassical(WORKING_POINT, 0.0, -1)
 
 
 def test_closed_form_values():
@@ -138,11 +134,9 @@ def test_closed_forms_reject_zero_detuning():
 
 def test_susceptibility_maps_response():
     response = atomic_response(WORKING_POINT, TWO_PI * 0.3)
-    chi = susceptibility(WORKING_POINT, TWO_PI * 0.3, scale=2.0)
-    assert chi.imag == pytest.approx(2.0 * response.absorption_part)
-    assert chi.real == pytest.approx(-2.0 * response.dispersion_part)
-    with pytest.raises(ValueError):
-        susceptibility(WORKING_POINT, 0.0, scale=0.0)
+    chi = susceptibility(WORKING_POINT, TWO_PI * 0.3)
+    assert chi.imag == pytest.approx(response.absorption_part)
+    assert chi.real == pytest.approx(-response.dispersion_part)
 
 
 def test_refractive_index_values():

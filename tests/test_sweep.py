@@ -115,7 +115,7 @@ def test_semiclassical_engine_applies_light_shift():
     spec = SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 5, WORKING_POINT, engines=(ENGINE_SEMICLASSICAL,))
     for rec in run_sweep(spec):
         expected = transmission_semiclassical(
-            WORKING_POINT, TWO_PI * (rec.sweep_value + WORKING_POINT.light_shift), WORKING_POINT.n_atoms
+            WORKING_POINT, TWO_PI * (rec.sweep_value + WORKING_POINT.light_shift)
         )
         assert rec.transmission_rel == pytest.approx(expected, rel=1e-12)
 
@@ -276,7 +276,7 @@ def test_convergence_study_weak_drive():
 
 
 def test_convergence_study_vacuum_identical():
-    study = convergence_study(replace(WORKING_POINT, n_p=0.0), [1, 2], [0.0, 1.5])
+    study = convergence_study(replace(WORKING_POINT, n_p=0.0), [1, 2])
     assert study.converged
     for row in study.rows:
         assert row.photon_number == pytest.approx(0.0, abs=1e-12)
