@@ -13,9 +13,10 @@ All frequencies on disk are linear MHz.  Numbers are serialized with 12
 significant digits; adding ``--deterministic`` drops the timestamp comment
 so identical runs produce byte-identical files.  Exit status: 0 all points
 solved within tolerance, 1 some sweep points flagged, 2 configuration or
-solver errors that leave no result: a JSON error record goes to stderr and
-no partial ``--out`` file is left behind.  ``--out`` is opened before the
-first solve, so an unwritable path fails at once.
+solver errors, or running out of memory, that leave no result: a JSON error
+record goes to stderr and no partial ``--out`` file is left behind.
+``--out`` is opened before the first solve, so an unwritable path fails at
+once.
 """
 
 from __future__ import annotations
@@ -289,7 +290,9 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except (ConfigError, CapacityError, DegenerateSteadyStateError, EdgeExtremumError,
-            SteadyStateConvergenceError) as exc:
-        record = {"error": type(exc).__name__, "message": str(exc)}
+            SteadyStateConvergenceError, MemoryError) as exc:
+        # numpy raises a private MemoryError subclass, so name the base class
+        name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
+        record = {"error": name, "message": str(exc) or "out of memory"}
         print(json.dumps(record), file=sys.stderr)
         return 2

@@ -10,10 +10,12 @@ factorization.  A family H + v*G with G real diagonal changes only the
 diagonal of that system, so a sweep over v assembles it once and each value
 is one diagonal update and one LU; a single solve is the case v = 0.
 L(rho) itself is applied by one closure built once per model from
-entrywise products: a sparse K = -iH_eff for K rho + (K rho^+)^+ and one
-gather for the jump sum.  It never touches the vectorized generator, so the
-steady-state residual and the explicit RK4 integrator, which use only that
-closure, serve as independent cross-checks of the vectorized solver.
+entrywise products, for Hermitian rho: a sparse K = -iH_eff for
+K rho + (K rho)^+ and one sparse matrix on the row-major flat state for the
+jump sum.  It never touches the vectorized generator, so the steady-state
+residual and the explicit RK4 integrator, which use only that closure on
+Hermitian states, serve as independent cross-checks of the vectorized
+solver.
 """
 
 from __future__ import annotations
@@ -100,13 +102,16 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _apply_factory(model: LindbladModel):
-    """Closure evaluating L(rho) by entrywise products (no vectorized generator).
+    """Closure evaluating L(rho) for Hermitian rho (no vectorized generator).
 
-    L(rho) = K rho + (K rho^+)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
-    as one CSR matrix.  The jump sum J(rho) = sum_c c rho c^+ is one flat
-    gather over the pairs (p, q) of nonzero entries of the same collapse
-    operator, out[r_p, r_q] += v_p conj(v_q) rho[s_p, s_q], summed with
-    ``np.bincount``; the table has sum_c nnz(c)^2 entries.
+    L(rho) = K rho + (K rho)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
+    as one CSR matrix, so one product over dim columns.  The jump sum
+    J(rho) = sum_c c rho c^+ is one CSR product J on the row-major flat
+    state, built from the pairs (p, q) of nonzero entries of the same
+    collapse operator, J[r_p dim + r_q, s_p dim + s_q] += v_p conj(v_q), with
+    duplicate pairs summed on conversion; the pair table has sum_c nnz(c)^2
+    entries.  The (K rho)^+ term equals rho K^+ only for Hermitian rho;
+    :func:`liouvillian_apply` extends the closure to any rho.
     """
     dim = model.space.total_dim
     size = dim * dim
@@ -123,12 +128,11 @@ def _apply_factory(model: LindbladModel):
         weights.append(np.outer(values, values.conj()).ravel())
     k = sp.csr_array(k)
     targets, sources, weights = map(np.concatenate, (targets, sources, weights))
+    jumps = sp.csr_array((weights, (targets, sources)), shape=(size, size))
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        both = k @ np.hstack([rho, rho.conj().T])
-        terms = weights * rho.reshape(-1)[sources]
-        jumps = np.bincount(targets, terms.real, size) + 1j * np.bincount(targets, terms.imag, size)
-        return both[:, :dim] + both[:, dim:].conj().T + jumps.reshape(dim, dim)
+        half = k @ rho
+        return half + half.conj().T + (jumps @ rho.reshape(-1)).reshape(dim, dim)
 
     return apply
 
@@ -136,14 +140,19 @@ def _apply_factory(model: LindbladModel):
 def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
     """L(rho) = -i[H, rho] + sum_c (c rho c^+ - (c^+c rho + rho c^+c)/2).
 
-    A one-shot call: it builds the closure of :func:`_apply_factory` each
-    time, so repeated applications of one model should hold that closure.
+    Any rho: it splits rho = A + iB into the Hermitian A = (rho + rho^+)/2
+    and B = (rho - rho^+)/(2i) and returns L(A) + iL(B) from the Hermitian
+    closure of :func:`_apply_factory`, by linearity.  A one-shot call: it
+    builds that closure each time, so repeated applications of one model
+    should hold it.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     dim = model.space.total_dim
     if mat.shape != (dim, dim):
         raise ValueError(f"state shape {mat.shape} does not match dimension {dim}")
-    return _apply_factory(model)(mat)
+    apply = _apply_factory(model)
+    adjoint = mat.conj().T
+    return apply(0.5 * (mat + adjoint)) + 1j * apply(-0.5j * (mat - adjoint))
 
 
 def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
@@ -340,14 +349,14 @@ def evolve(
     """
     if rho0.space != model.space:
         raise ValueError("initial state does not act on the model space")
-    if t_final < 0:
-        raise ValueError("t_final must be nonnegative")
+    if not (math.isfinite(t_final) and t_final >= 0):
+        raise ValueError(f"t_final must be finite and nonnegative, got {t_final}")
+    if dt is not None and not (math.isfinite(dt) and dt > 0):
+        raise ValueError(f"dt must be finite and positive, got {dt}")
     if t_final == 0:
         return rho0
     if dt is None:
         dt = min(stable_timestep(model), t_final)
-    if dt <= 0:
-        raise ValueError("dt must be positive")
     steps = max(1, math.ceil(t_final / dt))
     step = t_final / steps
     apply = _apply_factory(model)

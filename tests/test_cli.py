@@ -347,6 +347,22 @@ def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsy
     assert str(out) in record["message"]
 
 
+def test_out_of_memory_exits_with_error_record(tmp_path, capsys, monkeypatch):
+    # a grid too large to allocate: exit 2 with one record, not a traceback
+    def exhausted(spec, **kwargs):
+        raise MemoryError("Unable to allocate 745. GiB for an array")
+
+    monkeypatch.setattr(cli, "run_sweep", exhausted)
+    out = tmp_path / "x.csv"
+    assert main(["cavity-scan", "--points", "100000000000", "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "MemoryError"
+    assert "allocate" in record["message"]
+    assert not out.exists()
+
+
 # every rate and detuning of the working point scaled by 1e6: the solve
 # misses the 1e-9 residual tolerance
 SCALED_CONFIG = """
