@@ -15,7 +15,9 @@ K rho + (K rho)^+ and one sparse matrix on the row-major flat state for the
 jump sum.  It never touches the vectorized generator, so the steady-state
 residual and the explicit RK4 integrator, which use only that closure on
 Hermitian states, serve as independent cross-checks of the vectorized
-solver.
+solver.  For small models the integrator tabulates its fixed RK4 step once,
+from that closure alone, as a real matrix on the Hermitian coordinates of
+rho (see :func:`evolve`).
 """
 
 from __future__ import annotations
@@ -40,6 +42,12 @@ from .hilbert import DensityMatrix, HilbertSpace, OperatorMatrix
 SUPEROP_DIM_CAP = 20000
 DEFAULT_TOL = 1e-9
 TRACE_DRIFT_LIMIT = 1e-6
+# evolve tabulates its RK4 step as a dense real matrix up to this Liouville
+# size (the table is then at most 2 MB).  One table step against one closure
+# step on a 2-core host, 1 and 2 BLAS threads: 7-9 vs 81-84 us at size 225,
+# 19-26 vs 63-86 us at 400, 157-268 vs 96 us at 900, 1.2-2.3 vs 0.25 ms at
+# 2500.
+_TABULATE_MAX_SIZE = 512
 
 # Reported as SolverDiagnostics.method: every solve is one sparse LU.
 _SOLVE_METHOD = "sparse"
@@ -333,6 +341,50 @@ def stable_timestep(model: LindbladModel) -> float:
     return 2.0 / bound
 
 
+def _rk4_step(apply, rho: np.ndarray, h: float) -> np.ndarray:
+    """One classical RK4 step of drho/dt = L(rho) in Horner form.
+
+    rho + hL(rho + h/2 L(rho + h/3 L(rho + h/4 L rho))) is
+    sum_{k<=4} (hL)^k rho / k!, the degree-4 polynomial the stages k1..k4
+    of classical RK4 sum to for a linear, time-independent L.
+    """
+    inner = rho + (h / 4.0) * apply(rho)
+    inner = rho + (h / 3.0) * apply(inner)
+    inner = rho + (h / 2.0) * apply(inner)
+    return rho + h * apply(inner)
+
+
+def _hermitian_coordinates(rho: np.ndarray, upper) -> np.ndarray:
+    """Real coordinates of Hermitian rho: its diagonal, then the real and
+    imaginary parts of its strict upper triangle ``upper``."""
+    return np.concatenate([rho.diagonal().real, rho[upper].real, rho[upper].imag])
+
+
+def _hermitian_matrix(coords: np.ndarray, upper, dim: int) -> np.ndarray:
+    """Inverse of :func:`_hermitian_coordinates`."""
+    pairs = len(upper[0])
+    rho = np.zeros((dim, dim), dtype=complex)
+    rho[upper] = coords[dim:dim + pairs] + 1j * coords[dim + pairs:]
+    rho = rho + rho.conj().T
+    rho[np.diag_indices(dim)] = coords[:dim]
+    return rho
+
+
+def _run_steps(advance, trace_of, state, steps: int, step: float):
+    """``steps`` applications of ``advance``, each trace-checked and renormalized."""
+    for _ in range(steps):
+        state = advance(state)
+        trace = trace_of(state)
+        drift = abs(trace - 1.0)
+        if not np.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
+            raise IntegrationInstabilityError(
+                f"trace drift {drift:.3e} in one step of size {step:.3e}; "
+                "reduce dt"
+            )
+        state = state / trace
+    return state
+
+
 def evolve(
     model: LindbladModel,
     rho0: DensityMatrix,
@@ -341,11 +393,17 @@ def evolve(
 ) -> DensityMatrix:
     """Fixed-step classical RK4 integration of drho/dt = L(rho).
 
-    The state is re-Hermitized and trace-renormalized after every step; a
-    per-step trace drift beyond 1e-6 (or a non-finite state) aborts with an
-    instability error suggesting a smaller step.  This integrator exists as
-    a verification oracle for the steady-state solver and deliberately
-    avoids the vectorized-generator code path.
+    L is linear and time-independent, so a step, :func:`_rk4_step` on the
+    closure of :func:`_apply_factory`, is one fixed real-linear map of the
+    Hermitian coordinates of rho.  Up to Liouville size
+    ``_TABULATE_MAX_SIZE`` that map is tabulated once, one column per
+    Hermitian basis matrix, and every step is one real matrix-vector
+    product; above it each step runs the closure and is re-Hermitized.
+    The state is trace-renormalized after every step; a per-step trace drift
+    beyond 1e-6 (or a non-finite state) aborts with an instability error
+    suggesting a smaller step.  This integrator exists as a verification
+    oracle for the steady-state solver and deliberately avoids the
+    vectorized-generator code path, the table included.
     """
     if rho0.space != model.space:
         raise ValueError("initial state does not act on the model space")
@@ -360,22 +418,27 @@ def evolve(
     steps = max(1, math.ceil(t_final / dt))
     step = t_final / steps
     apply = _apply_factory(model)
+    dim = model.space.total_dim
     rho = np.array(rho0.matrix, dtype=complex)
-    for _ in range(steps):
-        k1 = apply(rho)
-        k2 = apply(rho + 0.5 * step * k1)
-        k3 = apply(rho + 0.5 * step * k2)
-        k4 = apply(rho + step * k3)
-        rho = rho + (step / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-        rho = 0.5 * (rho + rho.conj().T)
-        trace = np.trace(rho)
-        drift = abs(trace - 1.0)
-        if not np.isfinite(drift) or drift > TRACE_DRIFT_LIMIT:
-            raise IntegrationInstabilityError(
-                f"trace drift {drift:.3e} in one step of size {step:.3e}; "
-                "reduce dt"
+    if dim * dim <= _TABULATE_MAX_SIZE:
+        upper = np.triu_indices(dim, 1)
+        table = np.column_stack([
+            _hermitian_coordinates(
+                _rk4_step(apply, _hermitian_matrix(unit, upper, dim), step), upper
             )
-        rho = rho / trace.real
+            for unit in np.identity(dim * dim)
+        ])
+        coords = _run_steps(
+            table.dot, lambda x: x[:dim].sum(), _hermitian_coordinates(rho, upper),
+            steps, step,
+        )
+        rho = _hermitian_matrix(coords, upper, dim)
+    else:
+        def advance(rho):
+            rho = _rk4_step(apply, rho, step)
+            return 0.5 * (rho + rho.conj().T)
+
+        rho = _run_steps(advance, lambda rho: np.trace(rho).real, rho, steps, step)
     return DensityMatrix(model.space, rho)
 
 

@@ -404,20 +404,52 @@ def test_sweep_point_without_solution_exits_with_error_record(tmp_path, small_co
     assert not out.exists()
 
 
+def _sweep_at_blas_threads(out, threads, *args):
+    """Run ``eit-sweep --deterministic`` in a fresh process with the BLAS
+    limited to ``threads`` threads; return the CSV's bytes."""
+    package_root = Path(cavity_eit.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(package_root))
+    subprocess.run(
+        [sys.executable, "-m", "cavity_eit", "eit-sweep", *args, "--engine", "both",
+         "--out", str(out), "--deterministic"],
+        env=env, check=True, timeout=300,
+    )
+    return out.read_bytes()
+
+
 def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
     # byte identity must not hinge on how many threads the BLAS starts
-    package_root = Path(cavity_eit.__file__).resolve().parent.parent
-    outputs = []
-    for threads in ("1", "2"):
-        out = tmp_path / f"threads{threads}.csv"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(package_root))
-        subprocess.run(
-            [sys.executable, "-m", "cavity_eit", "eit-sweep", "--config", small_config,
-             "--engine", "both", "--out", str(out), "--deterministic"],
-            env=env, check=True, timeout=300,
-        )
-        outputs.append(out.read_bytes())
+    outputs = [
+        _sweep_at_blas_threads(tmp_path / f"threads{threads}.csv", threads, "--config", small_config)
+        for threads in ("1", "2")
+    ]
     assert outputs[0] == outputs[1]
+
+
+def test_two_atom_csv_identical_at_fixed_blas_threads(tmp_path):
+    # The two-atom sparse LU runs BLAS kernels that split their sums by
+    # thread, so its last bits depend on the thread count: at delta = 0 the
+    # residual reads 2.45e-14 with one thread and 4.70e-14 with two.  The
+    # contract is byte identity at a fixed thread count, and across thread
+    # counts the same values to solver precision.
+    config = tmp_path / "two_atoms.cfg"
+    config.write_text("n_max = 1\nstart = 0.0\nstop = 1.5\nn_points = 2\n", encoding="utf-8")
+    args = ("--config", str(config), "--atoms", "2")
+    outputs = {
+        name: _sweep_at_blas_threads(tmp_path / f"{name}.csv", threads, *args)
+        for name, threads in (("one", "1"), ("two", "2"), ("again", "2"))
+    }
+    assert outputs["two"] == outputs["again"]
+    header, rows_one = _read_rows(tmp_path / "one.csv")
+    _, rows_two = _read_rows(tmp_path / "two.csv")
+    assert len(rows_one) == len(rows_two) == 4
+    residual = header.index("residual")
+    for row_one, row_two in zip(rows_one, rows_two):
+        for k, (a, b) in enumerate(zip(row_one, row_two)):
+            if k == residual and a:
+                assert float(a) <= 1e-9 and float(b) <= 1e-9
+            elif a != b:
+                assert float(a) == pytest.approx(float(b), rel=1e-10, abs=1e-14)
 
 
 _OPTIONAL = st.none() | _FINITE

@@ -25,12 +25,14 @@ from cavity_eit import (
     identity,
     liouvillian_apply,
     mean_photon_number,
+    stable_timestep,
     steady_state,
     three_level_model,
     trace_distance,
     transition_operator,
     two_level_model,
 )
+from cavity_eit import liouville
 from cavity_eit.liouville import ParametricSteadyState, _apply_factory, unvectorize, vectorize
 from cavity_eit.model import scan_operator
 
@@ -387,6 +389,50 @@ def test_evolve_detects_instability():
     rho0 = steady_state(model).rho
     with pytest.raises(IntegrationInstabilityError):
         evolve(model, rho0, 1.0, dt=0.05)
+
+
+def test_evolve_detects_instability_when_stepping_the_closure():
+    # size 2500, above the tabulation limit, so every step runs the closure
+    model = build_model(replace(PhysicsParams(), n_atoms=2, n_max=1))
+    dim = model.space.total_dim
+    assert dim * dim > liouville._TABULATE_MAX_SIZE
+    rho0 = DensityMatrix(model.space, _random_density(np.random.default_rng(3), dim))
+    with pytest.raises(IntegrationInstabilityError):
+        evolve(model, rho0, 1.0, dt=0.05)
+
+
+def _reference_rk4(model, rho, t_final, dt):
+    """Classical RK4 stages k1..k4 on the term-by-term L, with evolve's
+    per-step Hermitization and trace renormalization."""
+    steps = max(1, math.ceil(t_final / dt))
+    h = t_final / steps
+    for _ in range(steps):
+        k1 = _reference_apply(model, rho)
+        k2 = _reference_apply(model, rho + 0.5 * h * k1)
+        k3 = _reference_apply(model, rho + 0.5 * h * k2)
+        k4 = _reference_apply(model, rho + h * k3)
+        rho = rho + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+        rho = 0.5 * (rho + rho.conj().T)
+        rho = rho / np.trace(rho).real
+    return rho
+
+
+@settings(max_examples=40, deadline=None)
+@given(_models(), st.integers(min_value=0, max_value=2**32 - 1))
+def test_tabulated_and_closure_steps_agree_property(model, seed):
+    # every model here has size <= 225, so evolve tabulates its step unless
+    # the limit is patched to 0
+    dim = model.space.total_dim
+    assert dim * dim <= liouville._TABULATE_MAX_SIZE
+    rho0 = DensityMatrix(model.space, _random_density(np.random.default_rng(seed), dim))
+    dt = stable_timestep(model)
+    tabulated = evolve(model, rho0, 50 * dt, dt=dt)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(liouville, "_TABULATE_MAX_SIZE", 0)
+        stepped = evolve(model, rho0, 50 * dt, dt=dt)
+    reference = _reference_rk4(model, rho0.matrix, 50 * dt, dt)
+    assert trace_distance(tabulated, stepped) <= 1e-12
+    assert trace_distance(stepped, reference) <= 1e-12
 
 
 def test_evolve_stationary_on_steady_state():
