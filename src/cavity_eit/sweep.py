@@ -5,9 +5,10 @@ relaxation rate far exceeds any realistic scan speed).  Both sweep variables
 enter the Hamiltonian as v*G with G diagonal (``model.scan_operator``; the
 drive is pinned for probe-cavity scans), so a master-equation sweep builds
 its model and assembles the generator once, and every point is one diagonal
-update of that system and one sparse LU (``ParametricSteadyState``).  Points
-are solved one after another in grid order, so a given spec produces
-bit-identical records on every run.
+update of that system, with one sparse LU per block of points
+(``ParametricSteadyState.solve_each``).  Each point gets the bits of its own
+one-point solve, and points are checked and recorded in grid order, so a
+given spec produces bit-identical records on every run.
 """
 
 from __future__ import annotations
@@ -141,10 +142,13 @@ def _readout(solution, operators) -> tuple[float, float]:
     return max(expectation(solution.rho, number).real, 0.0), abs(expectation(solution.rho, lower)) ** 2
 
 
-def _solve_point(spec: SweepSpec, system: ParametricSteadyState, operators, value: float,
-                 t0: float, tol: float) -> SpectrumRecord:
+def _master_equation_record(spec: SweepSpec, outcome, operators, value: float,
+                            t0: float) -> SpectrumRecord:
+    """The record of one outcome of ``ParametricSteadyState.solve_each``."""
     try:
-        solution = system.solve(float(value), tol)
+        if isinstance(outcome, Exception):
+            raise outcome
+        solution = outcome
         converged = True
     except SteadyStateConvergenceError as exc:
         if exc.solution is None:
@@ -206,12 +210,13 @@ def run_sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOL) -> list[SpectrumReco
     if ENGINE_MASTER_EQUATION in spec.engines:
         system = _sweep_system(spec, eta, grid[0])
         operators = cavity_operators(system.model.space)
+        outcomes = system.solve_each(grid, tol)
 
     records: list[SpectrumRecord] = []
     for value in grid:
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(_solve_point(spec, system, operators, value, t0, tol))
+                records.append(_master_equation_record(spec, next(outcomes), operators, value, t0))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records

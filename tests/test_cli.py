@@ -1,5 +1,6 @@
 import dataclasses
 import json
+import math
 import os
 import subprocess
 import sys
@@ -378,7 +379,10 @@ omega_f = 2.51e8
 """
 
 
-def test_converge_residual_miss_exits_with_error_record(tmp_path, capsys):
+def test_converge_residual_miss_exits_with_error_record(tmp_path, capsys, monkeypatch):
+    # with an infinite reference scale the residual tolerance is absolute
+    # again, which the 1e6-scaled working point misses
+    monkeypatch.setattr(cavity_eit.liouville, "L_REF", math.inf)
     config = tmp_path / "scaled.cfg"
     config.write_text(SCALED_CONFIG, encoding="utf-8")
     out = tmp_path / "converge.csv"
@@ -392,10 +396,10 @@ def test_converge_residual_miss_exits_with_error_record(tmp_path, capsys):
 
 def test_sweep_point_without_solution_exits_with_error_record(tmp_path, small_config, capsys,
                                                               monkeypatch):
-    def broken(self, value, tol):
-        raise cavity_eit.SteadyStateConvergenceError("solution violates state invariants")
+    def broken(self, values, tol):
+        yield cavity_eit.SteadyStateConvergenceError("solution violates state invariants")
 
-    monkeypatch.setattr(cavity_eit.liouville.ParametricSteadyState, "solve", broken)
+    monkeypatch.setattr(cavity_eit.liouville.ParametricSteadyState, "solve_each", broken)
     out = tmp_path / "o.csv"
     assert main(["eit-sweep", "--config", small_config, "--out", str(out)]) == 2
     record = json.loads(capsys.readouterr().err)

@@ -1,10 +1,12 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
 import pytest
 import scipy.linalg
-from scipy.sparse.linalg import expm_multiply
+import scipy.sparse as sp
+from scipy.sparse.linalg import LinearOperator, expm_multiply, onenormest, splu
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -345,6 +347,124 @@ def test_parametric_residual_is_true_residual(field, scheme, params, values):
         shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
         direct = float(np.max(np.abs(liouvillian_apply(shifted, solution.rho))))
         assert solution.residual_norm == pytest.approx(direct, rel=1e-9, abs=1e-15)
+
+
+def _one_point_condition(system, value):
+    """The condition estimate of the per-point solve that the block solve
+    replaced: one sparse LU of the value's own trace-replaced system and
+    scipy's ``onenormest`` on its solves."""
+    size = system.model.space.total_dim ** 2
+    data = system._base + value * system._step
+    scale = max(1.0, system._head_max, float(np.abs(data).max()))
+    data[system._trace] = scale
+    matrix = sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
+    lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    inverse = LinearOperator(
+        (size, size),
+        matvec=lu.solve,
+        rmatvec=lambda x: lu.solve(x, trans="H"),
+        dtype=complex,
+    )
+    anorm = float(np.add.reduceat(np.abs(data), system._indptr[:-1]).max())
+    return anorm * float(onenormest(inverse, t=1))
+
+
+@pytest.mark.parametrize(
+    "field, scheme, params, values",
+    [
+        ("delta", "five", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
+        ("delta", "three", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
+        ("delta_p_cav", "five", replace(PhysicsParams(), n_atoms=0), np.linspace(-3.0, 3.0, 7)),
+        ("delta_p_cav", "two", PhysicsParams(), np.linspace(-3.0, 3.0, 7)),
+        ("delta", "five", replace(PhysicsParams(), n_atoms=2, n_max=1), (0.0, 0.75, 1.5)),
+    ],
+    ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "two-atoms"],
+)
+def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, values):
+    # a block-diagonal LU and the lockstep condition estimate give every
+    # value the bits of its own one-point solve
+    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
+    params = replace(params, **{field: 0.0})
+    system = ParametricSteadyState(builder(params), scan_operator(params, field, scheme))
+    size = system.model.space.total_dim ** 2
+    per_block = 2 if params.n_atoms == 2 else 3
+    monkeypatch.setattr(liouville, "_BLOCK_ROWS", per_block * size)
+    blocked = list(system.solve_each(values))
+    monkeypatch.setattr(liouville, "_BLOCK_ROWS", 1)
+    single = list(system.solve_each(values))
+    assert len(blocked) == len(single) == len(values) > per_block
+    for value, block, alone in zip(values, blocked, single):
+        assert np.array_equal(block.rho.matrix, alone.rho.matrix)
+        assert block.residual_norm == alone.residual_norm
+        cond = block.diagnostics.condition_estimate
+        assert cond == alone.diagnostics.condition_estimate == _one_point_condition(system, value)
+
+
+def test_lockstep_estimate_is_onenormest_of_each_block():
+    # Random blocks stop the estimator at different iterations and by
+    # different tests: circulant M-matrices mostly on no increase, real
+    # triangular ones on a repeated sign vector, complex ones on a revisited
+    # column.  Each block must still get the estimate of its own LU.
+    rng = np.random.default_rng(2)
+    size, points = 8, 60
+    blocks = []
+    for k in range(points):
+        if k % 3 == 0:
+            blocks.append((size + 1) * np.eye(size) - scipy.linalg.circulant(rng.random(size)))
+        elif k % 3 == 1:
+            blocks.append(3.0 * np.triu(rng.normal(size=(size, size)), 1) + np.eye(size))
+        else:
+            ternary = rng.integers(-1, 2, size=(2, size, size))
+            blocks.append(ternary[0] + 1j * ternary[1] + 2.0 * np.eye(size))
+    matrix = sp.block_diag([sp.csc_matrix(b, dtype=complex) for b in blocks], format="csc")
+    lockstep = liouville._inverse_one_norms(splu(matrix, permc_spec="NATURAL"), points, size)
+    for block, estimate in zip(blocks, lockstep):
+        lu = splu(sp.csc_matrix(block, dtype=complex), permc_spec="NATURAL")
+        inverse = LinearOperator(
+            (size, size),
+            matvec=lu.solve,
+            rmatvec=lambda x, lu=lu: lu.solve(x, trans="H"),
+            dtype=complex,
+        )
+        assert estimate == onenormest(inverse, t=1)
+
+
+def test_block_solve_warns_once_per_near_degenerate_value_in_order():
+    # H(v) = v*sigma_z with a sigma_x collapse operator has two steady
+    # states at v = 0 (I/2 and sigma_x); a weak decay reconnects them there
+    space = HilbertSpace((2,))
+    sigma_x = OperatorMatrix(space, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    sigma_z = OperatorMatrix(space, np.diag([1.0, -1.0]).astype(complex))
+    weak = math.sqrt(1e-11) * transition_operator(space, 0, upper=1, lower=0)
+    model = LindbladModel(space, 0.0 * identity(space), (sigma_x, weak))
+    system = ParametricSteadyState(model, sigma_z)
+    seen = []
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for outcome in system.solve_each([1.0, 0.0, 2.0, 0.0, -1.0]):
+            seen.append((outcome.diagnostics.near_degenerate, len(caught)))
+    assert seen == [(False, 0), (True, 1), (False, 1), (True, 2), (False, 2)]
+    assert all(w.category is NearDegeneracyWarning for w in caught)
+
+
+def test_residual_reference_scale_is_the_working_point():
+    # the residual tolerance scales with max|L| above L_REF; L_REF is the
+    # default working point's max|L|, rounded up, so that point keeps tol
+    scale = float(np.abs(build_superoperator(build_model(PhysicsParams())).data).max())
+    assert scale <= liouville.L_REF < scale * (1.0 + 1e-3)
+
+
+def test_scaled_working_point_converges():
+    # scaling every rate and detuning by 1e6 scales the residual with it
+    unit = PhysicsParams()
+    scaled = replace(unit, **{
+        name: 1e6 * getattr(unit, name)
+        for name in ("g", "omega_con", "gamma", "kappa", "gamma_deph", "delta_p",
+                     "light_shift", "omega_d", "omega_f")
+    })
+    solution = steady_state(build_model(scaled))
+    assert solution.residual_norm > liouville.DEFAULT_TOL
+    assert np.max(np.abs(solution.rho.matrix - steady_state(build_model(unit)).rho.matrix)) < 1e-9
 
 
 def test_steady_state_degenerate_rejected():

@@ -7,7 +7,11 @@ import pytest
 from cavity_eit import (
     CapacityError,
     ConfigError,
+    DegenerateSteadyStateError,
     EdgeExtremumError,
+    HilbertSpace,
+    LindbladModel,
+    OperatorMatrix,
     PhysicsParams,
     SpectrumRecord,
     SweepSpec,
@@ -15,6 +19,7 @@ from cavity_eit import (
     convergence_study,
     drive_amplitude,
     find_extrema,
+    identity,
     liouville,
     mean_cavity_amplitude,
     mean_photon_number,
@@ -211,6 +216,33 @@ def test_sweep_flags_points_missing_tolerance():
     assert all(r.residual_norm > 1e-18 for r in records)
     # the same sweep at the default tolerance is clean
     assert all(r.converged for r in run_sweep(spec))
+
+
+def test_sweep_flags_each_point_missing_tolerance_inside_a_block():
+    # the 7 three-level points (Liouville size 81) share one sparse LU; a
+    # tolerance between their residuals flags exactly the points above it
+    spec = SweepSpec(VAR_TWO_PHOTON, -0.9, 1.7, 7, WORKING_POINT, level_scheme="three")
+    residuals = [r.residual_norm for r in run_sweep(spec)]
+    tol = float(np.median(residuals))
+    flagged = run_sweep(spec, tol=tol)
+    assert [r.residual_norm for r in flagged] == residuals
+    assert [r.converged for r in flagged] == [r <= tol for r in residuals]
+    assert False in [r.converged for r in flagged[1:-1]]
+
+
+def test_sweep_names_a_singular_point_inside_a_block(monkeypatch):
+    # H(v) = v*sigma_z with a sigma_x collapse operator is singular at v = 0
+    # only; the block's LU fails, and blocks of one find that point
+    space = HilbertSpace((2,))
+    sigma_x = OperatorMatrix(space, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
+    sigma_z = OperatorMatrix(space, np.diag([1.0, -1.0]).astype(complex))
+    model = LindbladModel(space, 0.0 * identity(space), (sigma_x,))
+    monkeypatch.setitem(sweep._BUILDERS, "two", lambda params, drive_eta: model)
+    monkeypatch.setattr(sweep, "scan_operator", lambda params, field, scheme: sigma_z)
+    spec = SweepSpec(VAR_PROBE_CAVITY, -2.0, 2.0, 5, WORKING_POINT, level_scheme="two")
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"sweep point probe_cavity_detuning = 0\.0 MHz"):
+        run_sweep(spec)
 
 
 def _lorentzian_records(center=0.2, width=0.3, n=41):
