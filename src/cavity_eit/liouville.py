@@ -68,8 +68,8 @@ L_REF = 2.842e3
 # one-atom point (size 225) solves 4 values per sparse LU, a two-atom point
 # (2500 or more) one.  The default 261-point sweep on a 2-core host at
 # 1 / 512 / 1024 / 1536 / 2048 rows: 0.60 / 0.50 / 0.43 / 0.39 / 0.41 s
-# (median of 11 rounds), peak RSS +0 / 0.5 / 0.8 / 1.9 / 3.1 MB (the
-# block's SuperLU factors and workspace).
+# (median of 11 rounds), peak RSS +0 / 0.1-0.5 / 0.8-1.5 / 1.9 / 3.1 MB (the
+# block's SuperLU factors, 0.17 MB per one-atom point, and workspace).
 _BLOCK_ROWS = 1024
 
 
@@ -270,35 +270,32 @@ class ParametricSteadyState:
         scaled as in :meth:`solve_each`.
         """
         outcome = next(self.solve_each([value], tol))
-        if isinstance(outcome, Exception):
+        if isinstance(outcome, SteadyStateConvergenceError):
             raise outcome
         return outcome
 
     def solve_each(
         self, values: Iterable[float], tol: float = DEFAULT_TOL
-    ) -> Iterator[SteadyStateSolution | Exception]:
+    ) -> Iterator[SteadyStateSolution | SteadyStateConvergenceError]:
         """Yield the steady state at each of ``values``, in order.
 
         A value whose residual max|L_v(rho)| exceeds
         ``tol * max(1, scale / L_REF)``, with ``scale`` the largest entry of
         its system, yields the SteadyStateConvergenceError that carries its
         solution, so that the caller can go on.  A value with no usable
-        state yields its DegenerateSteadyStateError (numerically singular
+        state raises DegenerateSteadyStateError (numerically singular
         system) or SteadyStateConvergenceError without a solution (state
-        invariants violated), and the iteration ends there.
+        invariants violated), which ends the iteration.
         NearDegeneracyWarnings are emitted per value, as it is yielded.
         """
         values = [float(value) for value in values]
         per_block = max(1, _BLOCK_ROWS // self._size)
         for start in range(0, len(values), per_block):
-            for outcome in self._solve_block(values[start:start + per_block], tol):
-                yield outcome
-                if isinstance(outcome, Exception) and getattr(outcome, "solution", None) is None:
-                    return
+            yield from self._solve_block(values[start:start + per_block], tol)
 
     def _solve_block(
         self, values: list[float], tol: float
-    ) -> Iterator[SteadyStateSolution | Exception]:
+    ) -> Iterator[SteadyStateSolution | SteadyStateConvergenceError]:
         """Outcomes of :meth:`solve_each` for one block from one sparse LU."""
         size = self._size
         points = len(values)
@@ -321,15 +318,12 @@ class ParametricSteadyState:
             lu = splu(system, permc_spec="MMD_AT_PLUS_A")
         except RuntimeError as exc:
             if points == 1:
-                error = DegenerateSteadyStateError(
+                raise DegenerateSteadyStateError(
                     f"sparse factorization failed, generator is singular: {exc}"
-                )
-                error.__cause__ = exc
-                yield error
-            else:
-                # name the first singular value exactly: blocks of one, in order
-                for value in values:
-                    yield from self._solve_block([value], tol)
+                ) from exc
+            # name the first singular value exactly: blocks of one, in order
+            for value in values:
+                yield from self._solve_block([value], tol)
             return
         rhs = np.zeros((points, size), dtype=complex)
         rhs[:, 0] = scales
@@ -341,10 +335,10 @@ class ParametricSteadyState:
 
     def _outcome(
         self, value: float, vec: np.ndarray, cond: float, scale: float, tol: float
-    ) -> SteadyStateSolution | Exception:
+    ) -> SteadyStateSolution | SteadyStateConvergenceError:
         """The checks of one value's solved state, as :meth:`solve_each` yields them."""
         if not np.all(np.isfinite(vec)) or cond > _SINGULAR_COND:
-            return DegenerateSteadyStateError(
+            raise DegenerateSteadyStateError(
                 f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
                 "the generator has multiple steady states",
                 condition_estimate=cond,
@@ -375,9 +369,7 @@ class ParametricSteadyState:
         try:
             state = DensityMatrix(space, rho)
         except ValueError as exc:
-            error = SteadyStateConvergenceError(f"solution violates state invariants: {exc}")
-            error.__cause__ = exc
-            return error
+            raise SteadyStateConvergenceError(f"solution violates state invariants: {exc}") from exc
         solution = SteadyStateSolution(rho=state, residual_norm=residual, diagnostics=diagnostics)
         bound = tol * max(1.0, scale / L_REF)
         if residual > bound:
@@ -388,7 +380,7 @@ class ParametricSteadyState:
         return solution
 
 
-def _inverse_one_norms(lu, points: int, size: int, itmax: int = 5) -> np.ndarray:
+def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
     """||A_p^-1||_1 estimates for the ``points`` diagonal blocks A_p of the
     block-diagonal matrix factored in ``lu``, each of order ``size``.
 
@@ -396,8 +388,10 @@ def _inverse_one_norms(lu, points: int, size: int, itmax: int = 5) -> np.ndarray
     and Tisseur's block algorithm with one column, which draws no random
     probes), run for every block in lockstep: each iteration is one
     block-wide solve with A and one with A^H, and a block stops on its own
-    tests while the others go on.
+    tests while the others go on.  At most 5 iterations, as in scipy's
+    ``onenormest``.
     """
+    itmax = 5
     rows = np.arange(points)
     x = np.full((points, size), 1.0 / size, dtype=complex)
     estimate = np.zeros(points)

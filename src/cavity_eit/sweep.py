@@ -142,23 +142,19 @@ def _readout(solution, operators) -> tuple[float, float]:
     return max(expectation(solution.rho, number).real, 0.0), abs(expectation(solution.rho, lower)) ** 2
 
 
-def _master_equation_record(spec: SweepSpec, outcome, operators, value: float,
+def _master_equation_record(spec: SweepSpec, outcomes, operators, value: float,
                             t0: float) -> SpectrumRecord:
-    """The record of one outcome of ``ParametricSteadyState.solve_each``."""
+    """The record of the next outcome of ``ParametricSteadyState.solve_each``."""
     try:
-        if isinstance(outcome, Exception):
-            raise outcome
-        solution = outcome
-        converged = True
+        outcome = next(outcomes)
     except SteadyStateConvergenceError as exc:
-        if exc.solution is None:
-            raise SteadyStateConvergenceError(f"{_point_label(spec, value)}: {exc}") from exc
-        solution = exc.solution
-        converged = False
+        raise SteadyStateConvergenceError(f"{_point_label(spec, value)}: {exc}") from exc
     except DegenerateSteadyStateError as exc:
         raise DegenerateSteadyStateError(
             f"{_point_label(spec, value)}: {exc}", condition_estimate=exc.condition_estimate
         ) from exc
+    converged = not isinstance(outcome, SteadyStateConvergenceError)
+    solution = outcome if converged else outcome.solution
     photons, coherent = _readout(solution, operators)
     return SpectrumRecord(
         sweep_value=float(value),
@@ -216,7 +212,7 @@ def run_sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOL) -> list[SpectrumReco
     for value in grid:
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(_master_equation_record(spec, next(outcomes), operators, value, t0))
+                records.append(_master_equation_record(spec, outcomes, operators, value, t0))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records

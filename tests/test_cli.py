@@ -1,6 +1,5 @@
 import dataclasses
 import json
-import math
 import os
 import subprocess
 import sys
@@ -364,29 +363,15 @@ def test_out_of_memory_exits_with_error_record(tmp_path, capsys, monkeypatch):
     assert not out.exists()
 
 
-# every rate and detuning of the working point scaled by 1e6: the solve
-# misses the 1e-9 residual tolerance
-SCALED_CONFIG = """
-g = 3e6
-omega_con = 2.8e6
-gamma = 2.6e6
-kappa = 4e5
-gamma_deph = 1.5e5
-delta_p = 2e7
-light_shift = 1e5
-omega_d = -2.012e8
-omega_f = 2.51e8
-"""
-
-
-def test_converge_residual_miss_exits_with_error_record(tmp_path, capsys, monkeypatch):
-    # with an infinite reference scale the residual tolerance is absolute
-    # again, which the 1e6-scaled working point misses
-    monkeypatch.setattr(cavity_eit.liouville, "L_REF", math.inf)
-    config = tmp_path / "scaled.cfg"
-    config.write_text(SCALED_CONFIG, encoding="utf-8")
+def test_converge_residual_miss_exits_with_error_record(tmp_path, small_config, capsys,
+                                                       monkeypatch):
+    # No configuration is known to miss the scaled residual tolerance, so
+    # the study's solves get a zero tolerance through steady_state's tol,
+    # which every nonzero residual misses.
+    solve = cavity_eit.sweep.steady_state
+    monkeypatch.setattr(cavity_eit.sweep, "steady_state", lambda model: solve(model, tol=0.0))
     out = tmp_path / "converge.csv"
-    assert main(["converge", "--config", str(config), "--nmax-list", "1,2",
+    assert main(["converge", "--config", small_config, "--nmax-list", "1,2",
                  "--out", str(out)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SteadyStateConvergenceError"
@@ -397,7 +382,8 @@ def test_converge_residual_miss_exits_with_error_record(tmp_path, capsys, monkey
 def test_sweep_point_without_solution_exits_with_error_record(tmp_path, small_config, capsys,
                                                               monkeypatch):
     def broken(self, values, tol):
-        yield cavity_eit.SteadyStateConvergenceError("solution violates state invariants")
+        yield from ()  # a generator, like solve_each, that raises on its first point
+        raise cavity_eit.SteadyStateConvergenceError("solution violates state invariants")
 
     monkeypatch.setattr(cavity_eit.liouville.ParametricSteadyState, "solve_each", broken)
     out = tmp_path / "o.csv"
