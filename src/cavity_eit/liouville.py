@@ -9,8 +9,9 @@ trace functional and solving the resulting linear system by sparse LU
 factorization.  A family H + v*G with G real diagonal changes only the
 diagonal of that system, so a sweep over v assembles it once, and each
 block of values is one diagonal update per value and one sparse LU of their
-block-diagonal system: one sparse LU per block of points.  A single solve is
-the one-value case at v = 0.
+block-diagonal system: one sparse LU per block of points.  Each solution
+carries its residual verdict; a single solve, the one-value case at v = 0,
+raises a miss.
 L(rho) itself is applied by one closure built once per model from
 entrywise products, for Hermitian rho: a sparse K = -iH_eff for
 K rho + (K rho)^+ and one sparse matrix on the row-major flat state for the
@@ -109,9 +110,16 @@ class SolverDiagnostics:
 
 @dataclass(frozen=True, eq=False)
 class SteadyStateSolution:
+    """A steady state and the scaled residual bound it was judged against."""
+
     rho: DensityMatrix
     residual_norm: float
     diagnostics: SolverDiagnostics
+    tolerance: float
+
+    @property
+    def converged(self) -> bool:
+        return self.residual_norm <= self.tolerance
 
 
 def vectorize(mat: np.ndarray) -> np.ndarray:
@@ -215,7 +223,8 @@ class ParametricSteadyState:
     one sparse LU per block of points, one solve for all their states and
     one lockstep condition estimate, then the same checks for each value as
     a single solve, in order.  The residual max|L_v(rho)| uses one L(rho)
-    closure built at v = 0 plus -i[vG, rho] by diagonal products.
+    closure built at v = 0 plus -i[vG, rho] by diagonal products, and each
+    solution carries its verdict against the scaled tolerance.
     """
 
     def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
@@ -260,43 +269,26 @@ class ParametricSteadyState:
         self._apply = _apply_factory(model)
         self.model = model
 
-    def solve(self, value: float = 0.0, tol: float = DEFAULT_TOL) -> SteadyStateSolution:
-        """Solve L(v) vec(rho) = 0 with trace(rho) = 1 at v = ``value``.
-
-        The one-value case of :meth:`solve_each`.  Raises
-        DegenerateSteadyStateError when the null space is not
-        one-dimensional, and SteadyStateConvergenceError (carrying the
-        partial solution) when the residual max|L(rho)| exceeds ``tol``
-        scaled as in :meth:`solve_each`.
-        """
-        outcome = next(self.solve_each([value], tol))
-        if isinstance(outcome, SteadyStateConvergenceError):
-            raise outcome
-        return outcome
-
     def solve_each(
         self, values: Iterable[float], tol: float = DEFAULT_TOL
-    ) -> Iterator[SteadyStateSolution | SteadyStateConvergenceError]:
-        """Yield the steady state at each of ``values``, in order.
+    ) -> Iterator[SteadyStateSolution]:
+        """Yield the steady state (L(v) rho = 0, trace 1) at each of ``values``.
 
-        A value whose residual max|L_v(rho)| exceeds
-        ``tol * max(1, scale / L_REF)``, with ``scale`` the largest entry of
-        its system, yields the SteadyStateConvergenceError that carries its
-        solution, so that the caller can go on.  A value with no usable
-        state raises DegenerateSteadyStateError (numerically singular
+        Each solution carries ``tolerance = tol * max(1, scale / L_REF)``,
+        with ``scale`` the largest entry of its system, and ``converged``,
+        so a residual miss does not end the iteration.  A value with no
+        usable state raises DegenerateSteadyStateError (numerically singular
         system) or SteadyStateConvergenceError without a solution (state
-        invariants violated), which ends the iteration.
-        NearDegeneracyWarnings are emitted per value, as it is yielded.
+        invariants violated), which ends it.  NearDegeneracyWarnings are
+        emitted per value, as it is yielded.
         """
         values = [float(value) for value in values]
         per_block = max(1, _BLOCK_ROWS // self._size)
         for start in range(0, len(values), per_block):
             yield from self._solve_block(values[start:start + per_block], tol)
 
-    def _solve_block(
-        self, values: list[float], tol: float
-    ) -> Iterator[SteadyStateSolution | SteadyStateConvergenceError]:
-        """Outcomes of :meth:`solve_each` for one block from one sparse LU."""
+    def _solve_block(self, values: list[float], tol: float) -> Iterator[SteadyStateSolution]:
+        """Solutions of :meth:`solve_each` for one block from one sparse LU."""
         size = self._size
         points = len(values)
         nnz = self._base.size
@@ -331,12 +323,12 @@ class ParametricSteadyState:
         column_sums = np.add.reduceat(np.abs(data.reshape(-1)), system.indptr[:-1])
         conds = column_sums.reshape(points, size).max(axis=1) * _inverse_one_norms(lu, points, size)
         for value, vec, cond, scale in zip(values, states, conds, scales):
-            yield self._outcome(value, vec, float(cond), float(scale), tol)
+            yield self._solution(value, vec, float(cond), float(scale), tol)
 
-    def _outcome(
+    def _solution(
         self, value: float, vec: np.ndarray, cond: float, scale: float, tol: float
-    ) -> SteadyStateSolution | SteadyStateConvergenceError:
-        """The checks of one value's solved state, as :meth:`solve_each` yields them."""
+    ) -> SteadyStateSolution:
+        """The checks of one value's solved state, as :meth:`solve_each` yields it."""
         if not np.all(np.isfinite(vec)) or cond > _SINGULAR_COND:
             raise DegenerateSteadyStateError(
                 f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
@@ -370,14 +362,12 @@ class ParametricSteadyState:
             state = DensityMatrix(space, rho)
         except ValueError as exc:
             raise SteadyStateConvergenceError(f"solution violates state invariants: {exc}") from exc
-        solution = SteadyStateSolution(rho=state, residual_norm=residual, diagnostics=diagnostics)
-        bound = tol * max(1.0, scale / L_REF)
-        if residual > bound:
-            return SteadyStateConvergenceError(
-                f"steady-state residual {residual:.3e} exceeds tolerance {bound:.3e}",
-                solution=solution,
-            )
-        return solution
+        return SteadyStateSolution(
+            rho=state,
+            residual_norm=residual,
+            diagnostics=diagnostics,
+            tolerance=tol * max(1.0, scale / L_REF),
+        )
 
 
 def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
@@ -425,12 +415,17 @@ def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
 def steady_state(model: LindbladModel, tol: float = DEFAULT_TOL) -> SteadyStateSolution:
     """Solve L vec(rho) = 0 with trace(rho) = 1 by trace-row replacement.
 
-    The v = 0 case of :class:`ParametricSteadyState`, with the same errors:
-    DegenerateSteadyStateError when the null space is not one-dimensional,
-    and SteadyStateConvergenceError (carrying the partial solution) when the
-    residual max|L(rho)| exceeds ``tol``.
+    The v = 0 case of :meth:`ParametricSteadyState.solve_each`, with its
+    errors, and the one place a residual miss is raised: a
+    SteadyStateConvergenceError carrying the solution that is not converged.
     """
-    return ParametricSteadyState(model).solve(0.0, tol)
+    solution = next(ParametricSteadyState(model).solve_each([0.0], tol))
+    if not solution.converged:
+        raise SteadyStateConvergenceError(
+            f"steady-state residual {solution.residual_norm:.3e} exceeds tolerance "
+            f"{solution.tolerance:.3e}", solution=solution
+        )
+    return solution
 
 
 def stable_timestep(model: LindbladModel) -> float:

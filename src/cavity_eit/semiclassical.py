@@ -21,6 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import ConfigError
 from .model import TWO_PI, PhysicsParams, ground_coherence_decay
 
 _PEAK_GRID_POINTS = 20001
@@ -51,7 +52,7 @@ def atomic_response(params: PhysicsParams, delta: float) -> AtomicResponse:
     transparency limit P = 0 is returned (for a nonzero control field).
     """
     if params.gamma <= 0.0:
-        raise ValueError("gamma must be positive for the atomic response")
+        raise ConfigError("gamma must be positive for the atomic response")
     g = TWO_PI * params.g
     gamma = TWO_PI * params.gamma
     delta_p = TWO_PI * params.delta_p
@@ -69,10 +70,14 @@ def transmission_semiclassical(params: PhysicsParams, delta: float) -> float:
     ``delta`` in rad/us.  Normalized to the empty cavity at the same
     probe-cavity detuning, so n_atoms = 0 gives exactly 1.
     """
+    return _cavity_transmission(params, atomic_response(params, delta).value)
+
+
+def _cavity_transmission(params: PhysicsParams, rate: complex) -> float:
+    """|kappa/(kappa + i dpc + N rate)|^2 (kappa^2 + dpc^2)/kappa^2, N = ``params.n_atoms``."""
     kappa = TWO_PI * params.kappa
     dpc = TWO_PI * params.delta_p_cav
-    response = atomic_response(params, delta).value
-    denom = kappa + 1j * dpc + params.n_atoms * response
+    denom = kappa + 1j * dpc + params.n_atoms * rate
     return float(abs(kappa / denom) ** 2 * (kappa**2 + dpc**2) / kappa**2)
 
 
@@ -116,12 +121,8 @@ def refractive_index(chi: complex) -> complex:
 def two_level_transmission(params: PhysicsParams) -> float:
     """No-control dispersive limit |kappa/(kappa + i dpc + N g^2/(gamma + i delta_p))|^2,
     N = ``params.n_atoms``, normalized like :func:`transmission_semiclassical`."""
-    kappa = TWO_PI * params.kappa
-    dpc = TWO_PI * params.delta_p_cav
-    g = TWO_PI * params.g
-    pole = g**2 / (TWO_PI * params.gamma + 1j * TWO_PI * params.delta_p)
-    denom = kappa + 1j * dpc + params.n_atoms * pole
-    return float(abs(kappa / denom) ** 2 * (kappa**2 + dpc**2) / kappa**2)
+    pole = (TWO_PI * params.g) ** 2 / (TWO_PI * params.gamma + 1j * TWO_PI * params.delta_p)
+    return _cavity_transmission(params, pole)
 
 
 def absorption_peak_numeric(params: PhysicsParams) -> tuple[float, float]:

@@ -13,6 +13,7 @@ given spec produces bit-identical records on every run.
 
 from __future__ import annotations
 
+import contextlib
 import math
 from dataclasses import dataclass, replace
 from typing import NamedTuple
@@ -125,15 +126,26 @@ def _point_label(spec: SweepSpec, value: float) -> str:
     return f"sweep point {spec.variable} = {value} MHz"
 
 
+@contextlib.contextmanager
+def _naming(label: str):
+    """Prefix ``label`` to a solver error raised inside; its type and attributes stay."""
+    try:
+        yield
+    except CapacityError as exc:
+        raise CapacityError(f"{label}: {exc}") from exc
+    except DegenerateSteadyStateError as exc:
+        raise DegenerateSteadyStateError(f"{label}: {exc}", exc.condition_estimate) from exc
+    except SteadyStateConvergenceError as exc:
+        raise SteadyStateConvergenceError(f"{label}: {exc}", exc.solution) from exc
+
+
 def _sweep_system(spec: SweepSpec, eta: float, first: float) -> ParametricSteadyState:
     """The model at a zero sweep value and its generator, assembled once."""
     field = "delta" if spec.variable == VAR_TWO_PHOTON else "delta_p_cav"
     params = replace(spec.base_params, **{field: 0.0})
-    try:
+    with _naming(_point_label(spec, first)):
         model = _BUILDERS[spec.level_scheme](params, drive_eta=eta)
         return ParametricSteadyState(model, scan_operator(params, field, spec.level_scheme))
-    except CapacityError as exc:
-        raise CapacityError(f"{_point_label(spec, first)}: {exc}") from exc
 
 
 def _readout(solution, operators) -> tuple[float, float]:
@@ -142,19 +154,11 @@ def _readout(solution, operators) -> tuple[float, float]:
     return max(expectation(solution.rho, number).real, 0.0), abs(expectation(solution.rho, lower)) ** 2
 
 
-def _master_equation_record(spec: SweepSpec, outcomes, operators, value: float,
+def _master_equation_record(spec: SweepSpec, solutions, operators, value: float,
                             t0: float) -> SpectrumRecord:
-    """The record of the next outcome of ``ParametricSteadyState.solve_each``."""
-    try:
-        outcome = next(outcomes)
-    except SteadyStateConvergenceError as exc:
-        raise SteadyStateConvergenceError(f"{_point_label(spec, value)}: {exc}") from exc
-    except DegenerateSteadyStateError as exc:
-        raise DegenerateSteadyStateError(
-            f"{_point_label(spec, value)}: {exc}", condition_estimate=exc.condition_estimate
-        ) from exc
-    converged = not isinstance(outcome, SteadyStateConvergenceError)
-    solution = outcome if converged else outcome.solution
+    """The record of the next solution of ``ParametricSteadyState.solve_each``."""
+    with _naming(_point_label(spec, value)):
+        solution = next(solutions)
     photons, coherent = _readout(solution, operators)
     return SpectrumRecord(
         sweep_value=float(value),
@@ -164,7 +168,7 @@ def _master_equation_record(spec: SweepSpec, outcomes, operators, value: float,
         dispersion_part=None,
         residual_norm=solution.residual_norm,
         engine=ENGINE_MASTER_EQUATION,
-        converged=converged,
+        converged=solution.converged,
     )
 
 
@@ -206,13 +210,13 @@ def run_sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOL) -> list[SpectrumReco
     if ENGINE_MASTER_EQUATION in spec.engines:
         system = _sweep_system(spec, eta, grid[0])
         operators = cavity_operators(system.model.space)
-        outcomes = system.solve_each(grid, tol)
+        solutions = system.solve_each(grid, tol)
 
     records: list[SpectrumRecord] = []
     for value in grid:
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(_master_equation_record(spec, outcomes, operators, value, t0))
+                records.append(_master_equation_record(spec, solutions, operators, value, t0))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records
@@ -294,9 +298,10 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     The detunings are 0, the absorption peak omega_con^2/(4 delta_p) (when
     delta_p is nonzero) and 1.5 MHz, each once and in that order.  Flags
     non-convergence when the change between the two largest truncations
-    exceeds ``TRUNCATION_THRESHOLD`` at any detuning.  With a zero probe
-    drive the raw photon number (identically zero) is tabulated instead of
-    the undefined transmission ratio.
+    exceeds ``TRUNCATION_THRESHOLD`` at any detuning, and names the n_max
+    and detuning of a solve that fails.  With a zero probe drive the raw
+    photon number (identically zero) is tabulated instead of the undefined
+    transmission ratio.
     """
     n_max_list = [int(n) for n in n_max_list]
     if len(n_max_list) < 2:
@@ -310,13 +315,9 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     rows = []
     for n_max in n_max_list:
         for delta in deltas_mhz:
-            model = build_model(replace(params, n_max=n_max, delta=delta))
-            try:
+            with _naming(f"n_max = {n_max}, delta = {delta} MHz"):
+                model = build_model(replace(params, n_max=n_max, delta=delta))
                 solution = steady_state(model)
-            except SteadyStateConvergenceError as exc:
-                raise SteadyStateConvergenceError(
-                    f"n_max = {n_max}, delta = {delta} MHz: {exc}", solution=exc.solution
-                ) from exc
             photons, coherent = _readout(solution, cavity_operators(model.space))
             trans = coherent / params.n_p if params.n_p > 0 else photons
             rows.append(TruncationRow(n_max, delta, trans, photons))

@@ -390,7 +390,48 @@ def test_sweep_point_without_solution_exits_with_error_record(tmp_path, small_co
     assert main(["eit-sweep", "--config", small_config, "--out", str(out)]) == 2
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "SteadyStateConvergenceError"
-    assert "sweep point" in record["message"]
+    assert record["message"] == (
+        "sweep point two_photon_delta = -0.7 MHz: solution violates state invariants"
+    )
+    assert not out.exists()
+
+
+@pytest.mark.parametrize(
+    "config_text, nmax_list, error, label",
+    [
+        ("g = 0\nomega_con = 0\n", "1,2", "DegenerateSteadyStateError",
+         "n_max = 1, delta = 0.0 MHz: "),
+        ("", "2,1000", "CapacityError", "n_max = 1000, delta = 0.0 MHz: "),
+    ],
+    ids=["degenerate", "capacity"],
+)
+def test_converge_error_names_its_point(tmp_path, capsys, config_text, nmax_list, error, label):
+    # with no atom-cavity coupling and no control field the generator has
+    # several steady states; n_max = 1000 is beyond the solver cap
+    config = tmp_path / "run.cfg"
+    config.write_text(config_text, encoding="utf-8")
+    out = tmp_path / "converge.csv"
+    assert main(["converge", "--config", str(config), "--nmax-list", nmax_list,
+                 "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == error
+    assert record["message"].startswith(label)
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("engine", ["sc", "both"])
+def test_semiclassical_engine_without_gamma_exits_with_error_record(tmp_path, capsys, engine):
+    # the closed form needs gamma > 0; the master equation alone does not
+    config = tmp_path / "run.cfg"
+    config.write_text(SMALL_CONFIG + "gamma = 0\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    assert main(["eit-sweep", "--config", str(config), "--engine", engine,
+                 "--out", str(out)]) == 2
+    lines = capsys.readouterr().err.splitlines()
+    assert len(lines) == 1
+    record = json.loads(lines[0])
+    assert record["error"] == "ConfigError"
+    assert "gamma" in record["message"]
     assert not out.exists()
 
 

@@ -20,6 +20,7 @@ from cavity_eit import (
     NearDegeneracyWarning,
     OperatorMatrix,
     PhysicsParams,
+    SteadyStateConvergenceError,
     annihilation_operator,
     build_model,
     build_superoperator,
@@ -313,8 +314,9 @@ def test_parametric_system_matches_rebuilt_generator():
     system = ParametricSteadyState(model, step)
     for value in (-0.9, 0.25, 1.7):
         shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
-        swept = system.solve(value)
+        swept = next(system.solve_each([value]))
         single = steady_state(shifted)
+        assert swept.converged
         assert np.max(np.abs(swept.rho.matrix - single.rho.matrix)) < 1e-12
         assert swept.diagnostics.condition_estimate == pytest.approx(
             single.diagnostics.condition_estimate, rel=1e-12
@@ -343,7 +345,8 @@ def test_parametric_residual_is_true_residual(field, scheme, params, values):
     step = scan_operator(params, field, scheme)
     system = ParametricSteadyState(model, step)
     for value in values:
-        solution = system.solve(value)
+        solution = next(system.solve_each([value]))
+        assert solution.converged
         shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
         direct = float(np.max(np.abs(liouvillian_apply(shifted, solution.rho))))
         assert solution.residual_norm == pytest.approx(direct, rel=1e-9, abs=1e-15)
@@ -396,6 +399,7 @@ def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, 
     for value, block, alone in zip(values, blocked, single):
         assert np.array_equal(block.rho.matrix, alone.rho.matrix)
         assert block.residual_norm == alone.residual_norm
+        assert block.tolerance == alone.tolerance
         cond = block.diagnostics.condition_estimate
         assert cond == alone.diagnostics.condition_estimate == _one_point_condition(system, value)
 
@@ -465,6 +469,18 @@ def test_scaled_working_point_converges():
     solution = steady_state(build_model(scaled))
     assert solution.residual_norm > liouville.DEFAULT_TOL
     assert np.max(np.abs(solution.rho.matrix - steady_state(build_model(unit)).rho.matrix)) < 1e-9
+
+
+def test_steady_state_raises_a_residual_miss_with_its_solution():
+    # a zero tolerance is missed by every nonzero residual
+    with pytest.raises(SteadyStateConvergenceError) as caught:
+        steady_state(build_model(PhysicsParams()), tol=0.0)
+    solution = caught.value.solution
+    assert solution.tolerance == 0.0 < solution.residual_norm
+    assert not solution.converged
+    assert str(caught.value) == (
+        f"steady-state residual {solution.residual_norm:.3e} exceeds tolerance 0.000e+00"
+    )
 
 
 def test_steady_state_degenerate_rejected():

@@ -98,7 +98,8 @@ def test_transmission_two_level_value():
     # |kappa/(kappa + g^2/(gamma + i delta_p))|^2 with the quoted numbers
     assert value == pytest.approx(0.3949, abs=1e-3)
     assert 0.35 < value < 0.60
-    assert value == pytest.approx(two_level_transmission(params), rel=1e-12)
+    # both formulas share one cavity transmission, so no control is bit-identical
+    assert value == two_level_transmission(params)
 
 
 def test_transmission_far_detuned_limit():

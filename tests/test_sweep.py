@@ -14,6 +14,7 @@ from cavity_eit import (
     OperatorMatrix,
     PhysicsParams,
     SpectrumRecord,
+    SteadyStateConvergenceError,
     SweepSpec,
     build_model,
     convergence_study,
@@ -141,7 +142,7 @@ def test_sweep_deterministic():
 def test_capacity_error_names_the_point():
     params = replace(WORKING_POINT, n_atoms=2, n_max=40)
     spec = SweepSpec(VAR_TWO_PHOTON, 0.0, 0.1, 2, params)
-    with pytest.raises(CapacityError, match="sweep point"):
+    with pytest.raises(CapacityError, match=r"^sweep point two_photon_delta = 0\.0 MHz: "):
         run_sweep(spec)
 
 
@@ -241,7 +242,7 @@ def test_sweep_names_a_singular_point_inside_a_block(monkeypatch):
     monkeypatch.setattr(sweep, "scan_operator", lambda params, field, scheme: sigma_z)
     spec = SweepSpec(VAR_PROBE_CAVITY, -2.0, 2.0, 5, WORKING_POINT, level_scheme="two")
     with pytest.raises(DegenerateSteadyStateError,
-                       match=r"sweep point probe_cavity_detuning = 0\.0 MHz"):
+                       match=r"^sweep point probe_cavity_detuning = 0\.0 MHz: "):
         run_sweep(spec)
 
 
@@ -320,3 +321,25 @@ def test_convergence_study_validation():
         convergence_study(WORKING_POINT, [2])
     with pytest.raises(ConfigError):
         convergence_study(WORKING_POINT, [3, 2])
+
+
+def test_convergence_study_names_a_degenerate_point():
+    # no coupling and no control field leave several steady states; the
+    # named error keeps the condition estimate of the original
+    params = replace(WORKING_POINT, g=0.0, omega_con=0.0)
+    with pytest.raises(DegenerateSteadyStateError,
+                       match=r"^n_max = 1, delta = 0\.0 MHz: ") as caught:
+        convergence_study(params, [1, 2])
+    assert caught.value.condition_estimate == caught.value.__cause__.condition_estimate > 1e14
+
+
+def test_convergence_study_names_a_residual_miss(monkeypatch):
+    # a zero tolerance is missed by every nonzero residual; the named error
+    # keeps the solution of the original
+    solve = sweep.steady_state
+    monkeypatch.setattr(sweep, "steady_state", lambda model: solve(model, tol=0.0))
+    with pytest.raises(SteadyStateConvergenceError,
+                       match=r"^n_max = 1, delta = 0\.0 MHz: steady-state residual ") as caught:
+        convergence_study(WORKING_POINT, [1, 2])
+    assert caught.value.solution is caught.value.__cause__.solution
+    assert not caught.value.solution.converged
