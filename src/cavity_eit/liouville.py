@@ -7,11 +7,12 @@ generator is assembled from the effective Hamiltonian
 replacing one row (the one belonging to the rho[0,0] component) with the
 trace functional and solving the resulting linear system by sparse LU
 factorization.  A family H + v*G with G real diagonal changes only the
-diagonal of that system, so a sweep over v assembles it once, and each
-block of values is one diagonal update per value and one sparse LU of their
-block-diagonal system: one sparse LU per block of points.  Each solution
-carries its residual verdict; a single solve, the one-value case at v = 0,
-raises a miss.
+diagonal of that system, so a sweep over v assembles it once, orders it for
+sparse LU once, and each block of values is one diagonal update per value and
+one sparse LU of their block-diagonal system: one sparse LU per block of
+points, whose states and residuals are checked for the whole block at once.
+Each solution carries its residual verdict; a single solve, the one-value
+case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model from
 entrywise products, for Hermitian rho: a sparse K = -iH_eff for
 K rho + (K rho)^+ and one sparse matrix on the row-major flat state for the
@@ -32,7 +33,7 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import splu
+from scipy.sparse.linalg import spilu, splu
 
 from .errors import (
     CapacityError,
@@ -135,7 +136,8 @@ def _apply_factory(model: LindbladModel):
     """Closure evaluating L(rho) for Hermitian rho (no vectorized generator).
 
     L(rho) = K rho + (K rho)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
-    as one CSR matrix, so one product over dim columns.  The jump sum
+    as one CSR matrix, so one product over dim columns, or over the columns
+    of every matrix of a stack (dim, points, dim) at once.  The jump sum
     J(rho) = sum_c c rho c^+ is one CSR product J on the row-major flat
     state, built from the pairs (p, q) of nonzero entries of the same
     collapse operator, J[r_p dim + r_q, s_p dim + s_q] += v_p conj(v_q), with
@@ -161,8 +163,16 @@ def _apply_factory(model: LindbladModel):
     jumps = sp.csr_array((weights, (targets, sources)), shape=(size, size))
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        half = k @ rho
-        return half + half.conj().T + (jumps @ rho.reshape(-1)).reshape(dim, dim)
+        if rho.ndim == 2:
+            half = k @ rho
+            return half + half.conj().T + (jumps @ rho.reshape(-1)).reshape(dim, dim)
+        # a stack (dim, points, dim), point p at rho[:, p, :], the same sums
+        # entry by entry: one K product over every point's columns and one J
+        # product over every point's flat state.  The one-matrix case (the
+        # RK4 step) skips this reshaping, which cost the two-atom leg 4 %.
+        half = (k @ rho.reshape(dim, -1)).reshape(rho.shape)
+        jump = (jumps @ rho.swapaxes(1, 2).reshape(size, -1)).reshape(dim, dim, -1)
+        return half + half.conj().transpose(2, 1, 0) + jump.swapaxes(1, 2)
 
     return apply
 
@@ -189,7 +199,10 @@ def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix L with L vec(rho) = vec(L(rho)) under column stacking.
 
     Assembled from the effective Hamiltonian H_eff = H - (i/2) sum_c c^+c as
-    L = -i (I kron H_eff) + i (conj(H_eff) kron I) + sum_c conj(c) kron c.
+    L = -i (I kron H_eff) + i (conj(H_eff) kron I) + sum_c conj(c) kron c,
+    indexed directly from the nonzeros of H_eff and of each c.  Entries
+    that several terms share add up in the order of the terms, and entries
+    that cancel are dropped, as in the sum of the sparse Kronecker products.
     """
     dim = model.space.total_dim
     size = dim * dim
@@ -201,13 +214,30 @@ def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     h_eff = model.hamiltonian.matrix.astype(complex)
     for op in model.collapse_ops:
         h_eff = h_eff - 0.5j * (op.matrix.conj().T @ op.matrix)
-    ident = sp.identity(dim, format="csr", dtype=complex)
-    h_eff = sp.csr_matrix(h_eff)
-    liou = 1j * (sp.kron(h_eff.conj(), ident, format="csr") - sp.kron(ident, h_eff, format="csr"))
+    # COO triplets term by term: entry (a dim + b, c dim + d) of A kron B is
+    # A[a, c] B[b, d], from the nonzeros of A and B alone
+    every = np.arange(dim)[:, None]
+    rows, cols = np.nonzero(h_eff)
+    values = np.broadcast_to(h_eff[rows, cols], (dim, rows.size))
+    terms = [
+        (dim * rows + every, dim * cols + every, 1j * values.conj()),
+        (dim * every + rows, dim * every + cols, -1j * values),
+    ]
     for op in model.collapse_ops:
-        c = sp.csr_matrix(op.matrix)
-        liou = liou + sp.kron(c.conj(), c, format="csr")
-    return liou.tocsr()
+        rows, cols = np.nonzero(op.matrix)
+        values = op.matrix[rows, cols]
+        terms.append((
+            dim * rows[:, None] + rows, dim * cols[:, None] + cols, values.conj()[:, None] * values,
+        ))
+    keys = np.concatenate([(size * r + c).ravel() for r, c, _ in terms])
+    keys, where = np.unique(keys, return_inverse=True)
+    data = np.zeros(keys.size, dtype=complex)
+    # np.add.at adds in the order of the terms, as the sum of the krons did
+    np.add.at(data, where, np.concatenate([v.ravel() for _, _, v in terms]))
+    indptr = np.searchsorted(keys, size * np.arange(size + 1))
+    liou = sp.csr_matrix((data, keys % size, indptr), shape=(size, size))
+    liou.eliminate_zeros()
+    return liou
 
 
 class ParametricSteadyState:
@@ -218,13 +248,22 @@ class ParametricSteadyState:
     zero, so replacing row 0 by the trace functional commutes with the
     update.  The trace-replaced system is assembled once in CSC form with
     its whole diagonal in the pattern, so every value shares one sparsity
-    pattern.  :meth:`solve_each` stacks the systems of a block of values
-    into one block-diagonal matrix (``_BLOCK_ROWS`` Liouville rows at most):
-    one sparse LU per block of points, one solve for all their states and
-    one lockstep condition estimate, then the same checks for each value as
-    a single solve, in order.  The residual max|L_v(rho)| uses one L(rho)
-    closure built at v = 0 plus -i[vG, rho] by diagonal products, and each
-    solution carries its verdict against the scaled tolerance.
+    pattern, and with it one fill-reducing order: SuperLU's
+    ``MMD_AT_PLUS_A`` column order, a function of the pattern alone, is
+    computed once here, and the system is stored permuted by it
+    symmetrically (P A P^T, rows and columns alike), so that every LU
+    factors it with ``permc_spec="NATURAL"``.  The right-hand side and the
+    solutions pass through the permutation.  :meth:`solve_each` stacks the
+    systems of a block of values into one block-diagonal matrix
+    (``_BLOCK_ROWS`` Liouville rows at most): one sparse LU per block of
+    points, one solve for all their states and one lockstep condition
+    estimate.  The block's states (Hermitian part, trace-normalized) and
+    their residuals max|L_v(rho)| are computed for the whole block at once,
+    the residual from one L(rho) closure built at v = 0, applied to the
+    stack of states, plus -i[vG, rho] by diagonal products.  Then each value
+    gets the checks of a single solve, in order, as it is yielded, and each
+    solution carries its verdict against the scaled tolerance.  Every
+    value's bits are those of its own one-point solve.
     """
 
     def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
@@ -245,24 +284,27 @@ class ParametricSteadyState:
         self._head_max = float(np.abs(head).max()) if head.size else 0.0
         body = liou[1:].tocoo()
         diagonal = np.arange(1, size)
+        rows = np.concatenate([np.zeros(dim, dtype=int), body.row + 1, diagonal])
+        cols = np.concatenate([(dim + 1) * np.arange(dim), body.col, diagonal])
+        # position[k]: where index k of vec(rho) sits in the permuted system
+        position = _fill_reducing_position(rows, cols, size)
         system = sp.csc_matrix(
             (
                 np.concatenate([np.zeros(dim), body.data, np.zeros(size - 1)]),
-                (
-                    np.concatenate([np.zeros(dim, dtype=int), body.row + 1, diagonal]),
-                    np.concatenate([(dim + 1) * np.arange(dim), body.col, diagonal]),
-                ),
+                (position[rows], position[cols]),
             ),
             shape=(size, size),
             dtype=complex,
         )
         self._size = size
+        self._position = position
         self._indices, self._indptr = system.indices, system.indptr
-        self._trace = np.flatnonzero(system.indices == 0)
+        self._trace = np.flatnonzero(system.indices == position[0])
         self._base = system.data
-        # column k = i + j*dim holds its diagonal entry exactly once
-        k = np.arange(size)
-        on_diagonal = system.indices == np.repeat(k, np.diff(system.indptr))
+        # column l holds its diagonal entry exactly once; it belongs to
+        # index k = i + j*dim of vec(rho)
+        k = np.argsort(position)
+        on_diagonal = system.indices == np.repeat(np.arange(size), np.diff(system.indptr))
         self._step = np.zeros_like(self._base)
         self._step[on_diagonal] = 1j * (g[k // dim] - g[k % dim])
         self._commutator = g[:, None] - g
@@ -306,8 +348,8 @@ class ParametricSteadyState:
             shape=(points * size, points * size),
         )
         try:
-            # the generator's pattern is near-symmetric, which this ordering exploits
-            lu = splu(system, permc_spec="MMD_AT_PLUS_A")
+            # the system is stored in its fill-reducing order already
+            lu = splu(system, permc_spec="NATURAL")
         except RuntimeError as exc:
             if points == 1:
                 raise DegenerateSteadyStateError(
@@ -318,18 +360,44 @@ class ParametricSteadyState:
                 yield from self._solve_block([value], tol)
             return
         rhs = np.zeros((points, size), dtype=complex)
-        rhs[:, 0] = scales
-        states = lu.solve(rhs.reshape(-1)).reshape(points, size)
+        rhs[:, self._position[0]] = scales
+        vecs = lu.solve(rhs.reshape(-1)).reshape(points, size)[:, self._position]
         column_sums = np.add.reduceat(np.abs(data.reshape(-1)), system.indptr[:-1])
         conds = column_sums.reshape(points, size).max(axis=1) * _inverse_one_norms(lu, points, size)
-        for value, vec, cond, scale in zip(values, states, conds, scales):
-            yield self._solution(value, vec, float(cond), float(scale), tol)
+        finite = np.isfinite(vecs).all(axis=1)
+        # a point whose state is not finite raises on its own check below, in order
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            states, residuals = self._states(values, vecs)
+        for p in range(points):
+            yield self._solution(
+                states[:, p], float(residuals[p]), bool(finite[p]), float(conds[p]),
+                float(scales[p]), tol,
+            )
+
+    def _states(self, values: list[float], vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """A block's states and their residuals max|L_v(rho)|, for all points at once.
+
+        ``vecs`` holds one solved vec(rho) per row.  The states come back as
+        a stack (dim, points, dim), point p at [:, p, :]: the Hermitian part,
+        divided by its trace.
+        """
+        dim = self.model.space.total_dim
+        # stacked[i, p, j] = vecs[p, i + j*dim], the column-stacked rho_p[i, j]
+        stacked = vecs.reshape(-1, dim, dim).transpose(2, 0, 1)
+        rho = 0.5 * (stacked + stacked.conj().transpose(2, 1, 0))
+        # each point's own trace: a trace over the stack sums in another order
+        traces = np.array([np.trace(rho[:, p, :]).real for p in range(len(values))])
+        rho = rho / traces[:, None]
+        # L_v(rho) = L_0(rho) - i[vG, rho]
+        shift = 1j * np.array(values)[:, None] * self._commutator[:, None, :]
+        image = self._apply(rho) - shift * rho
+        return rho, np.abs(image).max(axis=(0, 2))
 
     def _solution(
-        self, value: float, vec: np.ndarray, cond: float, scale: float, tol: float
+        self, rho: np.ndarray, residual: float, finite: bool, cond: float, scale: float, tol: float
     ) -> SteadyStateSolution:
         """The checks of one value's solved state, as :meth:`solve_each` yields it."""
-        if not np.all(np.isfinite(vec)) or cond > _SINGULAR_COND:
+        if not finite or cond > _SINGULAR_COND:
             raise DegenerateSteadyStateError(
                 f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
                 "the generator has multiple steady states",
@@ -344,22 +412,14 @@ class ParametricSteadyState:
                 stacklevel=4,
             )
 
-        space = self.model.space
-        dim = space.total_dim
-        rho = unvectorize(vec, dim)
-        rho = 0.5 * (rho + rho.conj().T)
-        rho = rho / np.trace(rho).real
-        # L_v(rho) = L_0(rho) - i[vG, rho]
-        image = self._apply(rho) - 1j * value * self._commutator * rho
-        residual = float(np.max(np.abs(image)))
         diagnostics = SolverDiagnostics(
             method=_SOLVE_METHOD,
-            dimension=dim * dim,
+            dimension=self._size,
             condition_estimate=cond,
             near_degenerate=near,
         )
         try:
-            state = DensityMatrix(space, rho)
+            state = DensityMatrix(self.model.space, rho)
         except ValueError as exc:
             raise SteadyStateConvergenceError(f"solution violates state invariants: {exc}") from exc
         return SteadyStateSolution(
@@ -368,6 +428,23 @@ class ParametricSteadyState:
             diagnostics=diagnostics,
             tolerance=tol * max(1.0, scale / L_REF),
         )
+
+
+def _fill_reducing_position(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:
+    """Where SuperLU's ``MMD_AT_PLUS_A`` column order puts each index of a
+    ``size`` x ``size`` system with entries at (``rows``, ``cols``).
+
+    The order is a function of the pattern alone.  It is read from an
+    incomplete LU that drops every entry it may, of a diagonally dominant
+    matrix with that pattern: SuperLU orders it as it orders the full LU, at
+    a fraction of that LU's cost.
+    """
+    # complex like the systems it orders, so it runs the SuperLU code their
+    # LUs run (0.15 MB less peak RSS per one-atom sweep than a real matrix)
+    ones = np.ones(rows.size, dtype=complex)
+    pattern = sp.csc_matrix((ones, (rows, cols)), shape=(size, size))
+    dominant = pattern + size * sp.identity(size, format="csc")
+    return spilu(dominant, drop_tol=1e300, fill_factor=1, permc_spec="MMD_AT_PLUS_A").perm_c
 
 
 def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
@@ -498,9 +575,11 @@ def evolve(
     product; above it each step runs the closure and is re-Hermitized.
     The state is trace-renormalized after every step; a per-step trace drift
     beyond 1e-6 (or a non-finite state) aborts with an instability error
-    suggesting a smaller step.  This integrator exists as a verification
-    oracle for the steady-state solver and deliberately avoids the
-    vectorized-generator code path, the table included.
+    suggesting a smaller step, and so does a final state that fails the
+    DensityMatrix checks: a step can push a zero eigenvalue of rho below
+    -1e-8.  This integrator exists as a verification oracle for the
+    steady-state solver and deliberately avoids the vectorized-generator
+    code path, the table included.
     """
     if rho0.space != model.space:
         raise ValueError("initial state does not act on the model space")
@@ -536,7 +615,14 @@ def evolve(
             return 0.5 * (rho + rho.conj().T)
 
         rho = _run_steps(advance, lambda rho: np.trace(rho).real, rho, steps, step)
-    return DensityMatrix(model.space, rho)
+    try:
+        return DensityMatrix(model.space, rho)
+    except ValueError as exc:
+        # the step, not the initial state, is at fault
+        raise IntegrationInstabilityError(
+            f"integrated state invalid after {steps} steps of size {step:.3e} ({exc}); "
+            "reduce dt"
+        ) from exc
 
 
 def trace_distance(state_a, state_b) -> float:

@@ -161,8 +161,14 @@ def drive_amplitude(params: PhysicsParams) -> float:
     return kappa * math.sqrt(params.n_p) * math.sqrt(1.0 + (dpc / kappa) ** 2)
 
 
-def _space(params: PhysicsParams, n_levels: int) -> HilbertSpace:
-    """N atoms of ``n_levels`` levels each, then the cavity (Fock 0..n_max)."""
+def model_space(params: PhysicsParams, scheme: str = "five") -> HilbertSpace:
+    """The space of the ``scheme`` model: N atoms, then the cavity (Fock 0..n_max).
+
+    From dimensions alone, so a caller can check a model's capacity before
+    building it; raises CapacityError when its vectorized generator would
+    exceed the solver cap.
+    """
+    n_levels = _level_scheme(params, scheme)[0]
     space = HilbertSpace((n_levels,) * params.n_atoms + (params.n_max + 1,))
     if space.total_dim**2 > SUPEROP_DIM_CAP:
         raise CapacityError(
@@ -187,9 +193,9 @@ def _scan_operators(space: HilbertSpace, n_atoms: int, g1: int | None) -> dict[s
 
 
 def _build(params: PhysicsParams, scheme: str, drive_eta: float | None) -> LindbladModel:
-    n_levels, g1, g2, excited = _level_scheme(params, scheme)
+    _, g1, g2, excited = _level_scheme(params, scheme)
     n_atoms = params.n_atoms
-    space = _space(params, n_levels)
+    space = model_space(params, scheme)
     scan = _scan_operators(space, n_atoms, g1)
     lower = annihilation_operator(space, n_atoms)
     raise_op = lower.dagger()
@@ -277,8 +283,8 @@ def scan_operator(params: PhysicsParams, field: str, scheme: str = "five") -> Op
     affine in v only with the drive pinned (``drive_eta``).  ``scheme`` is
     the level scheme of the builder: ``"five"``, ``"three"`` or ``"two"``.
     """
-    n_levels, g1, _, _ = _level_scheme(params, scheme)
-    scan = _scan_operators(_space(params, n_levels), params.n_atoms, g1)
+    g1 = _level_scheme(params, scheme)[1]
+    scan = _scan_operators(model_space(params, scheme), params.n_atoms, g1)
     if field not in scan:
         raise ValueError(f"{field!r} is not a scan variable; expected one of {sorted(scan)}")
     return (-TWO_PI) * scan[field]

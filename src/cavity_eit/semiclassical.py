@@ -45,14 +45,19 @@ class AtomicResponse:
         return self.value.imag
 
 
+def check_closed_form(params: PhysicsParams) -> None:
+    """Raise ConfigError unless the closed form is defined: it needs gamma > 0."""
+    if params.gamma <= 0.0:
+        raise ConfigError("gamma must be positive for the atomic response")
+
+
 def atomic_response(params: PhysicsParams, delta: float) -> AtomicResponse:
     """P(delta) for two-photon detuning ``delta`` in rad/us.
 
     Pole-free for gamma_deph > 0; at gamma_deph = 0 and delta = 0 the exact
     transparency limit P = 0 is returned (for a nonzero control field).
     """
-    if params.gamma <= 0.0:
-        raise ConfigError("gamma must be positive for the atomic response")
+    check_closed_form(params)
     g = TWO_PI * params.g
     gamma = TWO_PI * params.gamma
     delta_p = TWO_PI * params.delta_p

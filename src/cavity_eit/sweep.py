@@ -35,11 +35,12 @@ from .model import (
     build_model,
     cavity_operators,
     drive_amplitude,
+    model_space,
     scan_operator,
     three_level_model,
     two_level_model,
 )
-from .semiclassical import atomic_response, transmission_semiclassical
+from .semiclassical import atomic_response, check_closed_form, transmission_semiclassical
 
 ENGINE_MASTER_EQUATION = "me"
 ENGINE_SEMICLASSICAL = "sc"
@@ -207,6 +208,9 @@ def run_sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOL) -> list[SpectrumReco
     eta = drive_amplitude(spec.base_params)
 
     grid = grid_points(spec)
+    if ENGINE_SEMICLASSICAL in spec.engines:
+        # before the master-equation system is built and solved
+        check_closed_form(spec.base_params)
     if ENGINE_MASTER_EQUATION in spec.engines:
         system = _sweep_system(spec, eta, grid[0])
         operators = cavity_operators(system.model.space)
@@ -311,6 +315,12 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     abs_peak = params.omega_con**2 / (4.0 * params.delta_p) if params.delta_p else None
     # dict.fromkeys drops a repeat (omega_con = 0 puts the peak at 0) and keeps the order.
     deltas_mhz = list(dict.fromkeys([0.0, 1.5] if abs_peak is None else [0.0, abs_peak, 1.5]))
+
+    # every truncation's capacity, from dimensions alone, before the first
+    # solve; named as the first point it would stop
+    for n_max in n_max_list:
+        with _naming(f"n_max = {n_max}, delta = {deltas_mhz[0]} MHz"):
+            model_space(replace(params, n_max=n_max))
 
     rows = []
     for n_max in n_max_list:

@@ -419,6 +419,23 @@ def test_converge_error_names_its_point(tmp_path, capsys, config_text, nmax_list
     assert not out.exists()
 
 
+def test_converge_capacity_exits_before_the_first_solve(tmp_path, capsys, monkeypatch):
+    # two atoms at n_max = 2 are ~5 s a point; n_max = 1000 fails on dimensions alone
+    def forbidden(*args, **kwargs):
+        pytest.fail("a point was solved before every truncation's capacity was checked")
+
+    monkeypatch.setattr(cavity_eit.sweep, "steady_state", forbidden)
+    config = tmp_path / "run.cfg"
+    config.write_text("n_atoms = 2\n", encoding="utf-8")
+    out = tmp_path / "converge.csv"
+    assert main(["converge", "--config", str(config), "--nmax-list", "2,1000",
+                 "--out", str(out)]) == 2
+    record = json.loads(capsys.readouterr().err)
+    assert record["error"] == "CapacityError"
+    assert record["message"].startswith("n_max = 1000, delta = 0.0 MHz: ")
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("engine", ["sc", "both"])
 def test_semiclassical_engine_without_gamma_exits_with_error_record(tmp_path, capsys, engine):
     # the closed form needs gamma > 0; the master equation alone does not

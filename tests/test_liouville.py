@@ -211,6 +211,27 @@ def test_held_apply_matches_reference_loop_on_hermitian_property(model, seed):
     assert np.max(np.abs(_apply_factory(model)(rho) - reference)) <= 1e-12 * scale
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _random_model(np.random.default_rng(4), (2, 3), 3),
+     lambda: build_model(PhysicsParams()),
+     lambda: build_model(replace(PhysicsParams(), n_atoms=2, n_max=1))],
+    ids=["random", "one-atom", "two-atoms"],
+)
+def test_held_apply_of_a_stack_is_the_apply_of_each_matrix(make):
+    # the steady-state residual applies the closure to a stack (dim, points,
+    # dim) at once; every point must get the bits of its own application
+    model = make()
+    rng = np.random.default_rng(11)
+    dim = model.space.total_dim
+    raw = rng.normal(size=(dim, 3, dim)) + 1j * rng.normal(size=(dim, 3, dim))
+    stack = raw + raw.conj().transpose(2, 1, 0)
+    apply = _apply_factory(model)
+    images = apply(stack)
+    for p in range(3):
+        assert np.array_equal(images[:, p, :], apply(np.ascontiguousarray(stack[:, p, :])))
+
+
 @pytest.mark.parametrize("dims, n_collapse", [((2,), 1), ((2, 3), 2), ((3, 4), 3), ((2, 2, 3), 4)])
 def test_apply_matches_reference_loop_dense_collapse(dims, n_collapse):
     # a dense collapse operator has dim^2 nonzeros, so dim^4 pairs in the jump sum
@@ -221,6 +242,53 @@ def test_apply_matches_reference_loop_dense_collapse(dims, n_collapse):
         reference = _reference_apply(model, rho)
         scale = np.max(np.abs(reference))
         assert np.max(np.abs(liouvillian_apply(model, rho) - reference)) <= 1e-12 * scale
+
+
+def _kron_superoperator(model):
+    """L as the sum of Kronecker products: -i (I kron H_eff) + i (conj(H_eff)
+    kron I) + sum_c conj(c) kron c, the assembly the index-built one replaced."""
+    dim = model.space.total_dim
+    h_eff = model.hamiltonian.matrix.astype(complex)
+    for op in model.collapse_ops:
+        h_eff = h_eff - 0.5j * (op.matrix.conj().T @ op.matrix)
+    ident = sp.identity(dim, format="csr", dtype=complex)
+    h_eff = sp.csr_matrix(h_eff)
+    liou = 1j * (sp.kron(h_eff.conj(), ident, format="csr") - sp.kron(ident, h_eff, format="csr"))
+    for op in model.collapse_ops:
+        c = sp.csr_matrix(op.matrix)
+        liou = liou + sp.kron(c.conj(), c, format="csr")
+    liou = liou.tocsr()
+    liou.sort_indices()
+    return liou
+
+
+@pytest.mark.parametrize(
+    "builder, changes",
+    [
+        (build_model, {"n_atoms": 0}),
+        (build_model, {}),
+        (build_model, {"n_max": 4}),
+        (build_model, {"omega_con": 0.0}),
+        (three_level_model, {}),
+        (two_level_model, {}),
+        (build_model, {"n_atoms": 2, "n_max": 1}),
+    ],
+    ids=["empty-cavity", "one-atom", "one-atom-nmax4", "no-control", "three-level", "two-level",
+         "two-atoms"],
+)
+def test_superoperator_matches_kron_reference(builder, changes):
+    # the same pattern, cancelled entries dropped; the same values, bit for
+    # bit up to one atom, and to rounding where more terms meet (two atoms)
+    model = builder(replace(PhysicsParams(), delta=0.3, **changes))
+    built, reference = build_superoperator(model), _kron_superoperator(model)
+    assert np.array_equal(built.indptr, reference.indptr)
+    assert np.array_equal(built.indices, reference.indices)
+    assert np.all(built.data != 0)
+    if model.space.n_subsystems <= 2:
+        assert np.array_equal(built.data, reference.data)
+    else:
+        scale = np.abs(reference.data).max()
+        assert np.abs(built.data - reference.data).max() <= 1e-15 * scale
 
 
 def test_superoperator_qubit_decay_spectrum():
@@ -335,17 +403,17 @@ def test_parametric_system_matches_rebuilt_generator():
     ],
     ids=["five-delta", "three-delta", "five-cavity", "two-cavity", "two-atoms"],
 )
-def test_parametric_residual_is_true_residual(field, scheme, params, values):
-    # the residual reuses the closure built at v = 0; it must still be the
-    # true max|L(rho)| of the model rebuilt at v, not a re-check of the
-    # system's own diagonal update
+def test_parametric_residual_is_true_residual(monkeypatch, field, scheme, params, values):
+    # the residual reuses the closure built at v = 0 and is computed for a
+    # whole block at once; it must still be the true max|L(rho)| of the
+    # model rebuilt at v, not a re-check of the system's own diagonal update
     builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
     params = replace(params, **{field: 0.0})
     model = builder(params)
     step = scan_operator(params, field, scheme)
     system = ParametricSteadyState(model, step)
-    for value in values:
-        solution = next(system.solve_each([value]))
+    monkeypatch.setattr(liouville, "_BLOCK_ROWS", len(values) * model.space.total_dim ** 2)
+    for value, solution in zip(values, system.solve_each(values), strict=True):
         assert solution.converged
         shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
         direct = float(np.max(np.abs(liouvillian_apply(shifted, solution.rho))))
@@ -361,7 +429,7 @@ def _one_point_condition(system, value):
     scale = max(1.0, system._head_max, float(np.abs(data).max()))
     data[system._trace] = scale
     matrix = sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
-    lu = splu(matrix, permc_spec="MMD_AT_PLUS_A")
+    lu = splu(matrix, permc_spec="NATURAL")
     inverse = LinearOperator(
         (size, size),
         matvec=lu.solve,
@@ -402,6 +470,41 @@ def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, 
         assert block.tolerance == alone.tolerance
         cond = block.diagnostics.condition_estimate
         assert cond == alone.diagnostics.condition_estimate == _one_point_condition(system, value)
+
+
+def _system_matrix(system, value):
+    """The trace-replaced system at ``value`` as stored: in its fill-reducing order."""
+    size = system.model.space.total_dim ** 2
+    data = system._base + value * system._step
+    data[system._trace] = max(1.0, system._head_max, float(np.abs(data).max()))
+    return sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
+
+
+@pytest.mark.parametrize(
+    "params, values",
+    [
+        (PhysicsParams(), np.linspace(-0.9, 1.7, 5)),
+        (replace(PhysicsParams(), n_max=4), np.linspace(-0.9, 1.7, 5)),
+        (replace(PhysicsParams(), n_atoms=2, n_max=1), (-0.9, 1.7)),
+    ],
+    ids=["one-atom", "one-atom-nmax4", "two-atoms-nmax1"],
+)
+def test_stored_order_is_superlu_ordering_of_the_pattern(params, values):
+    # the system is stored permuted by the MMD_AT_PLUS_A order SuperLU would
+    # compute for every value, and a NATURAL LU of it fills like that LU of
+    # the unpermuted system.  Pivot ties break by row order, so the fill at
+    # one value moves either way: -3.9 % to +1.5 % over these cases.
+    params = replace(params, delta=0.0)
+    system = ParametricSteadyState(build_model(params), scan_operator(params, "delta"))
+    position = system._position
+    for value in values:
+        stored = _system_matrix(system, value)
+        ordered = splu(stored, permc_spec="NATURAL")
+        unpermuted = stored[position][:, position].tocsc()
+        reference = splu(unpermuted, permc_spec="MMD_AT_PLUS_A")
+        assert np.array_equal(reference.perm_c, position)
+        fill = ordered.L.nnz + ordered.U.nnz
+        assert fill <= 1.02 * (reference.L.nnz + reference.U.nnz)
 
 
 def test_lockstep_estimate_is_onenormest_of_each_block():
@@ -525,6 +628,21 @@ def test_evolve_detects_instability():
     rho0 = steady_state(model).rho
     with pytest.raises(IntegrationInstabilityError):
         evolve(model, rho0, 1.0, dt=0.05)
+
+
+def test_evolve_blames_its_step_for_a_state_that_is_not_positive():
+    # from a rank-deficient start an RK4 step at the default size leaves an
+    # eigenvalue of -3.3e-7 (one step) to -5.4e-7 (0.01 us); half the step passes
+    params = replace(PhysicsParams(), n_atoms=1, delta=0.1)
+    model = build_model(params)
+    vacuum = np.zeros((params.n_max + 1,) * 2)
+    vacuum[0, 0] = 1.0
+    rho0 = DensityMatrix(model.space, np.kron(np.diag([0.5, 0.5, 0.0, 0.0, 0.0]), vacuum))
+    step = stable_timestep(model)
+    for t_final in (step, 0.01):
+        with pytest.raises(IntegrationInstabilityError, match=r"lowest eigenvalue -.*reduce dt"):
+            evolve(model, rho0, t_final)
+    evolve(model, rho0, 0.01, dt=step / 2)
 
 
 def test_evolve_detects_instability_when_stepping_the_closure():

@@ -202,6 +202,31 @@ def test_sweep_builds_and_assembles_once(monkeypatch):
     assert calls == {"build": 1, "assemble": 1}
 
 
+def test_sweep_orders_once_and_factors_in_that_order(monkeypatch):
+    # one fill-reducing ordering per system; every block's LU keeps it
+    orderings, specs = [], []
+    order = liouville._fill_reducing_position
+    factor = liouville.splu
+    monkeypatch.setattr(liouville, "_fill_reducing_position",
+                        lambda *args: orderings.append(args) or order(*args))
+    monkeypatch.setattr(liouville, "splu", lambda matrix, permc_spec: (
+        specs.append(permc_spec) or factor(matrix, permc_spec)))
+    run_sweep(SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 9, WORKING_POINT))
+    assert len(orderings) == 1
+    assert specs == ["NATURAL"] * 3
+
+
+def test_sweep_checks_the_closed_form_before_solving(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("the master-equation system was built before the closed form was checked")
+
+    monkeypatch.setattr(sweep, "ParametricSteadyState", forbidden)
+    spec = SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 5, replace(WORKING_POINT, gamma=0.0),
+                     engines=(ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL))
+    with pytest.raises(ConfigError, match="gamma"):
+        run_sweep(spec)
+
+
 def test_sweep_requires_probe():
     spec = SweepSpec(VAR_TWO_PHOTON, 0.0, 0.1, 2, replace(WORKING_POINT, n_p=0.0))
     with pytest.raises(ConfigError):
@@ -321,6 +346,15 @@ def test_convergence_study_validation():
         convergence_study(WORKING_POINT, [2])
     with pytest.raises(ConfigError):
         convergence_study(WORKING_POINT, [3, 2])
+
+
+def test_convergence_study_checks_every_capacity_before_solving(monkeypatch):
+    def forbidden(*args, **kwargs):
+        pytest.fail("a point was solved before every truncation's capacity was checked")
+
+    monkeypatch.setattr(sweep, "steady_state", forbidden)
+    with pytest.raises(CapacityError, match=r"^n_max = 1000, delta = 0\.0 MHz: "):
+        convergence_study(replace(WORKING_POINT, n_atoms=2), [2, 1000])
 
 
 def test_convergence_study_names_a_degenerate_point():
