@@ -99,32 +99,59 @@ class OperatorMatrix:
 class DensityMatrix:
     """Hermitian, unit-trace, positive state on a composite Hilbert space.
 
-    Construction validates Hermiticity (max elementwise deviation 1e-10),
-    unit trace (1e-10) and numerical positivity (lowest eigenvalue above
-    -1e-8); reject anything else rather than propagating a broken state.
+    Construction validates, in this order, finite entries, Hermiticity (max
+    elementwise deviation 1e-10), unit trace (1e-10) and numerical
+    positivity (lowest eigenvalue above -1e-8); reject anything else rather
+    than propagating a broken state.  :meth:`each` runs the same checks on a
+    whole stack of matrices at once.
     """
 
     space: HilbertSpace
     matrix: np.ndarray
 
     def __post_init__(self):
-        mat = np.array(self.matrix, dtype=complex)
-        dim = self.space.total_dim
-        if mat.shape != (dim, dim):
+        (state,) = DensityMatrix.each(self.space, np.asarray(self.matrix)[None])
+        if isinstance(state, ValueError):
+            raise state
+        object.__setattr__(self, "matrix", state.matrix)
+
+    @classmethod
+    def each(cls, space: HilbertSpace, stack: np.ndarray) -> list["DensityMatrix | ValueError"]:
+        """One state per matrix of ``stack`` (points, dim, dim), all checked
+        in one pass: a non-finite matrix fails first, and the finite ones
+        share one stacked ``eigvalsh``.  A matrix that fails comes back as
+        the ValueError its own construction raises; one that passes is not
+        checked again.
+        """
+        stack = np.array(stack, dtype=complex)
+        dim = space.total_dim
+        if stack.ndim != 3 or stack.shape[1:] != (dim, dim):
             raise ValueError(
-                f"matrix shape {mat.shape} does not match space dimension {dim}"
+                f"matrix shape {stack.shape[1:]} does not match space dimension {dim}"
             )
-        herm = np.max(np.abs(mat - mat.conj().T))
-        if herm > HERMITICITY_TOL:
-            raise ValueError(f"density matrix not Hermitian: max |rho - rho^+| = {herm:.3e}")
-        tr = np.trace(mat)
-        if abs(tr - 1.0) > TRACE_TOL:
-            raise ValueError(f"density matrix trace {tr} differs from 1")
-        lowest = np.linalg.eigvalsh(0.5 * (mat + mat.conj().T)).min()
-        if lowest < -POSITIVITY_TOL:
-            raise ValueError(f"density matrix not positive: lowest eigenvalue {lowest:.3e}")
-        mat.setflags(write=False)
-        object.__setattr__(self, "matrix", mat)
+        stack.setflags(write=False)
+        finite = np.isfinite(stack).all(axis=(1, 2))
+        checked = stack[finite]
+        herm = np.abs(checked - checked.conj().swapaxes(1, 2)).max(axis=(1, 2))
+        # a contiguous diagonal sums each row as np.trace sums one matrix
+        traces = np.ascontiguousarray(checked.diagonal(axis1=1, axis2=2)).sum(axis=1)
+        hermitian = 0.5 * (checked + checked.conj().swapaxes(1, 2))
+        lowest = np.linalg.eigvalsh(hermitian).min(axis=1)
+        states: list[DensityMatrix | ValueError] = [
+            ValueError("density matrix has non-finite entries") for _ in finite
+        ]
+        for p, h, tr, low in zip(np.flatnonzero(finite), herm, traces, lowest):
+            if h > HERMITICITY_TOL:
+                states[p] = ValueError(f"density matrix not Hermitian: max |rho - rho^+| = {h:.3e}")
+            elif abs(tr - 1.0) > TRACE_TOL:
+                states[p] = ValueError(f"density matrix trace {tr} differs from 1")
+            elif low < -POSITIVITY_TOL:
+                states[p] = ValueError(f"density matrix not positive: lowest eigenvalue {low:.3e}")
+            else:
+                states[p] = object.__new__(cls)
+                object.__setattr__(states[p], "space", space)
+                object.__setattr__(states[p], "matrix", stack[p])
+        return states
 
 
 def identity(space: HilbertSpace) -> OperatorMatrix:

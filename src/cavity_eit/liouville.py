@@ -9,8 +9,9 @@ trace functional and solving the resulting linear system by sparse LU
 factorization.  A family H + v*G with G real diagonal changes only the
 diagonal of that system, so a sweep over v assembles it once, orders it for
 sparse LU once, and each block of values is one diagonal update per value and
-one sparse LU of their block-diagonal system: one sparse LU per block of
-points, whose states and residuals are checked for the whole block at once.
+one sparse LU of their block-diagonal system, with SuperLU's supernodes left
+unrelaxed: one sparse LU per block of points, whose states (one stacked
+eigendecomposition) and residuals are checked for the whole block at once.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model from
@@ -68,19 +69,28 @@ _SINGULAR_COND = 1e14
 L_REF = 2.842e3
 # Liouville rows of one block-diagonal system in ParametricSteadyState: a
 # one-atom point (size 225) solves 4 values per sparse LU, a two-atom point
-# (2500 or more) one.  The default 261-point sweep on a 2-core host at
-# 1 / 512 / 1024 / 1536 / 2048 rows: 0.60 / 0.50 / 0.43 / 0.39 / 0.41 s
-# (median of 11 rounds), peak RSS +0 / 0.1-0.5 / 0.8-1.5 / 1.9 / 3.1 MB (the
-# block's SuperLU factors, 0.17 MB per one-atom point, and workspace).
+# (2500 or more) one.  The default 261-point sweep on a 2-core host, 1 BLAS
+# thread, unrelaxed supernodes, at 512 / 1024 / 1536 / 2048 rows: 0.51 /
+# 0.43 / 0.42 / 0.40 s, peak RSS 66.4 / 67.1 / 68.3 / 68.5 MB (medians of 6
+# processes, 11 rounds each; the block's SuperLU factors and workspace).
 _BLOCK_ROWS = 1024
+# SuperLU's supernode relaxation for the block LUs: relax=1 leaves every
+# supernode as the pattern makes it, where the default pads small ones with
+# explicit zeros for BLAS kernels.  One LU on a 2-core host, 1 BLAS thread,
+# default against relax=1 (interquartile range of alternating repetitions):
+# 4 x 225 rows 3.7-4.8 against 3.1-4.0 ms, 2 x 400 12.5-14.6 against
+# 6.2-7.9 ms, 625 rows 10.3-11.4 against 8.9-10.0 ms, two atoms at 2500 rows
+# 323-376 against 227-254 ms and at 5625 rows 5.0-5.3 against 4.2-4.5 s.
+_SUPERNODE_RELAX = 1
 
 
 @dataclass(frozen=True, eq=False)
 class LindbladModel:
     """Hamiltonian plus sqrt(rate)-scaled collapse operators on one space.
 
-    The Hamiltonian is in angular units (rad/us) and must be Hermitian to
-    1e-9; collapse operators carry units rad^(1/2)/us^(1/2).
+    The Hamiltonian is in angular units (rad/us) and must be finite and
+    Hermitian to 1e-9; collapse operators, finite too, carry units
+    rad^(1/2)/us^(1/2).
     """
 
     space: HilbertSpace
@@ -91,12 +101,16 @@ class LindbladModel:
         object.__setattr__(self, "collapse_ops", tuple(self.collapse_ops))
         if self.hamiltonian.space != self.space:
             raise ValueError("Hamiltonian does not act on the model space")
+        if not np.isfinite(self.hamiltonian.matrix).all():
+            raise ValueError("Hamiltonian has non-finite entries")
         herm = np.max(np.abs(self.hamiltonian.matrix - self.hamiltonian.matrix.conj().T))
         if herm > 1e-9:
             raise ValueError(f"Hamiltonian not Hermitian: max |H - H^+| = {herm:.3e}")
         for op in self.collapse_ops:
             if op.space != self.space:
                 raise ValueError("collapse operator does not act on the model space")
+            if not np.isfinite(op.matrix).all():
+                raise ValueError("collapse operator has non-finite entries")
 
 
 @dataclass(frozen=True)
@@ -252,18 +266,20 @@ class ParametricSteadyState:
     ``MMD_AT_PLUS_A`` column order, a function of the pattern alone, is
     computed once here, and the system is stored permuted by it
     symmetrically (P A P^T, rows and columns alike), so that every LU
-    factors it with ``permc_spec="NATURAL"``.  The right-hand side and the
-    solutions pass through the permutation.  :meth:`solve_each` stacks the
-    systems of a block of values into one block-diagonal matrix
-    (``_BLOCK_ROWS`` Liouville rows at most): one sparse LU per block of
-    points, one solve for all their states and one lockstep condition
-    estimate.  The block's states (Hermitian part, trace-normalized) and
-    their residuals max|L_v(rho)| are computed for the whole block at once,
-    the residual from one L(rho) closure built at v = 0, applied to the
-    stack of states, plus -i[vG, rho] by diagonal products.  Then each value
-    gets the checks of a single solve, in order, as it is yielded, and each
-    solution carries its verdict against the scaled tolerance.  Every
-    value's bits are those of its own one-point solve.
+    factors it with ``permc_spec="NATURAL"`` and ``relax=_SUPERNODE_RELAX``.
+    The right-hand side and the solutions pass through the permutation.
+    :meth:`solve_each` stacks the systems of a block of values into one
+    block-diagonal matrix (``_BLOCK_ROWS`` Liouville rows at most): one
+    sparse LU per block of points, one solve for all their states and one
+    lockstep condition estimate.  The block's states (Hermitian part, trace-normalized), their
+    density-matrix checks (:meth:`DensityMatrix.each`, one stacked
+    eigendecomposition) and their residuals max|L_v(rho)| are computed for
+    the whole block at once, the residual from one L(rho) closure built at
+    v = 0, applied to the stack of states, plus -i[vG, rho] by diagonal
+    products.  Then each value raises or warns as a single solve would, in
+    order, as it is yielded, and each solution carries its verdict against
+    the scaled tolerance.  Every value's bits are those of its own one-point
+    solve.
     """
 
     def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
@@ -349,11 +365,12 @@ class ParametricSteadyState:
         )
         try:
             # the system is stored in its fill-reducing order already
-            lu = splu(system, permc_spec="NATURAL")
+            lu = splu(system, permc_spec="NATURAL", relax=_SUPERNODE_RELAX)
         except RuntimeError as exc:
             if points == 1:
                 raise DegenerateSteadyStateError(
-                    f"sparse factorization failed, generator is singular: {exc}"
+                    f"sparse factorization failed, generator is singular: {exc}",
+                    condition_estimate=math.inf,
                 ) from exc
             # name the first singular value exactly: blocks of one, in order
             for value in values:
@@ -370,34 +387,42 @@ class ParametricSteadyState:
             states, residuals = self._states(values, vecs)
         for p in range(points):
             yield self._solution(
-                states[:, p], float(residuals[p]), bool(finite[p]), float(conds[p]),
+                states[p], float(residuals[p]), bool(finite[p]), float(conds[p]),
                 float(scales[p]), tol,
             )
 
-    def _states(self, values: list[float], vecs: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """A block's states and their residuals max|L_v(rho)|, for all points at once.
+    def _states(
+        self, values: list[float], vecs: np.ndarray
+    ) -> tuple[list[DensityMatrix | ValueError], np.ndarray]:
+        """A block's checked states and their residuals max|L_v(rho)|, for all
+        points at once.
 
-        ``vecs`` holds one solved vec(rho) per row.  The states come back as
-        a stack (dim, points, dim), point p at [:, p, :]: the Hermitian part,
-        divided by its trace.
+        ``vecs`` holds one solved vec(rho) per row.  Each state is its
+        Hermitian part divided by its trace, checked by
+        :meth:`DensityMatrix.each`: a state that fails comes back as the
+        ValueError of its check.
         """
         dim = self.model.space.total_dim
         # stacked[i, p, j] = vecs[p, i + j*dim], the column-stacked rho_p[i, j]
         stacked = vecs.reshape(-1, dim, dim).transpose(2, 0, 1)
         rho = 0.5 * (stacked + stacked.conj().transpose(2, 1, 0))
-        # each point's own trace: a trace over the stack sums in another order
-        traces = np.array([np.trace(rho[:, p, :]).real for p in range(len(values))])
+        # each point's own trace: a contiguous diagonal sums each point's
+        # entries in the order np.trace sums one matrix
+        traces = np.ascontiguousarray(rho.diagonal(axis1=0, axis2=2)).sum(axis=1).real
         rho = rho / traces[:, None]
         # L_v(rho) = L_0(rho) - i[vG, rho]
         shift = 1j * np.array(values)[:, None] * self._commutator[:, None, :]
         image = self._apply(rho) - shift * rho
-        return rho, np.abs(image).max(axis=(0, 2))
+        states = DensityMatrix.each(self.model.space, rho.transpose(1, 0, 2))
+        return states, np.abs(image).max(axis=(0, 2))
 
     def _solution(
-        self, rho: np.ndarray, residual: float, finite: bool, cond: float, scale: float, tol: float
+        self, state: DensityMatrix | ValueError, residual: float, finite: bool, cond: float,
+        scale: float, tol: float,
     ) -> SteadyStateSolution:
         """The checks of one value's solved state, as :meth:`solve_each` yields it."""
-        if not finite or cond > _SINGULAR_COND:
+        # a NaN estimate fails every comparison, so it is singular unless finite
+        if not finite or not math.isfinite(cond) or cond > _SINGULAR_COND:
             raise DegenerateSteadyStateError(
                 f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
                 "the generator has multiple steady states",
@@ -418,10 +443,10 @@ class ParametricSteadyState:
             condition_estimate=cond,
             near_degenerate=near,
         )
-        try:
-            state = DensityMatrix(self.model.space, rho)
-        except ValueError as exc:
-            raise SteadyStateConvergenceError(f"solution violates state invariants: {exc}") from exc
+        if isinstance(state, ValueError):
+            raise SteadyStateConvergenceError(
+                f"solution violates state invariants: {state}"
+            ) from state
         return SteadyStateSolution(
             rho=state,
             residual_norm=residual,

@@ -238,7 +238,11 @@ def _build(params: PhysicsParams, scheme: str, drive_eta: float | None) -> Lindb
             collapse.append(math.sqrt(deph_ang) * basis_projector(space, atom, g1))
     if kappa_ang > 0.0:
         collapse.append(math.sqrt(2.0 * kappa_ang) * lower)
-    return LindbladModel(space=space, hamiltonian=ham, collapse_ops=tuple(collapse))
+    try:
+        return LindbladModel(space=space, hamiltonian=ham, collapse_ops=tuple(collapse))
+    except ValueError as exc:
+        # parameters finite in MHz can overflow in rad/us
+        raise ConfigError(f"parameters overflow the model: {exc}") from exc
 
 
 def build_model(params: PhysicsParams, *, drive_eta: float | None = None) -> LindbladModel:

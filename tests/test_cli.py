@@ -1,17 +1,20 @@
+import contextlib
 import dataclasses
+import io
 import json
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import assume, given
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import cavity_eit
-from cavity_eit import ConfigError, RunConfig, cli
+from cavity_eit import ConfigError, NearDegeneracyWarning, RunConfig, cli
 from cavity_eit.cli import main
 from cavity_eit.sweep import ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL, SpectrumRecord
 
@@ -413,7 +416,9 @@ def test_converge_error_names_its_point(tmp_path, capsys, config_text, nmax_list
     out = tmp_path / "converge.csv"
     assert main(["converge", "--config", str(config), "--nmax-list", nmax_list,
                  "--out", str(out)]) == 2
-    record = json.loads(capsys.readouterr().err)
+    # the degenerate point's infinite condition estimate stays out of the record
+    record = _strict_json(capsys.readouterr().err)
+    assert set(record) == {"error", "message"}
     assert record["error"] == error
     assert record["message"].startswith(label)
     assert not out.exists()
@@ -553,3 +558,74 @@ def test_twelve_significant_digits(tmp_path, small_config):
     # formatting uses up to 12 significant digits
     mantissa = value.replace("-", "").replace(".", "").lstrip("0").split("e")[0]
     assert len(mantissa) <= 12
+
+
+def _strict_json(line):
+    def reject(constant):
+        raise ValueError(f"not JSON: {constant}")
+
+    return json.loads(line, parse_constant=reject)
+
+
+def _run_cli(argv):
+    """``main(argv)`` with its standard output and error captured."""
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err), \
+            warnings.catch_warnings():
+        # a near-degenerate point warns and is solved; it is not an error here
+        warnings.simplefilter("ignore", NearDegeneracyWarning)
+        status = main(argv)
+    return status, out.getvalue(), err.getvalue()
+
+
+_FUZZ_KEYS = ("g", "omega_con", "gamma", "kappa", "gamma_deph", "n_p", "delta_p",
+              "delta_p_cav", "delta", "light_shift", "start", "stop")
+_FUZZ_VALUES = st.sampled_from((0.0, 1e-12, 0.3, 3.0, 1e9, -1e3))
+
+
+@st.composite
+def _cli_calls(draw):
+    """A small config file's text and one command that reads it."""
+    keys = draw(st.sets(st.sampled_from(_FUZZ_KEYS), max_size=3))
+    lines = [f"{key} = {draw(_FUZZ_VALUES)!r}" for key in sorted(keys)]
+    lines.append(f"n_max = {draw(st.integers(min_value=1, max_value=2))}")
+    lines.append(f"n_points = {draw(st.integers(min_value=2, max_value=7))}")
+    command = draw(st.sampled_from(("eit-sweep", "cavity-scan", "converge")))
+    if command == "eit-sweep":
+        args = ["--engine", draw(st.sampled_from(("me", "sc", "both"))),
+                "--atoms", str(draw(st.integers(min_value=0, max_value=1)))]
+        args += ["--three-level"] * draw(st.booleans())
+    elif command == "cavity-scan":
+        args = ["--atoms", str(draw(st.integers(min_value=0, max_value=1))),
+                "--points", str(draw(st.integers(min_value=1, max_value=7)))]
+    else:
+        args = ["--nmax-list", draw(st.sampled_from(("1,2", "2,1", "1", "0,1", "1,x")))]
+    return "\n".join(lines) + "\n", [command, *args]
+
+
+@settings(max_examples=25, deadline=None)
+@given(_cli_calls())
+def test_cli_exits_cleanly_property(tmp_path_factory, call):
+    # every command on every small config succeeds, flags points or exits 2
+    # with one JSON error record and no output file; analyze reads what the
+    # command wrote under the same contract
+    text, argv = call
+    work = tmp_path_factory.mktemp("cli")
+    config, out = work / "run.cfg", work / "out.csv"
+    config.write_text(text, encoding="utf-8")
+    for command in (argv + ["--config", str(config), "--out", str(out)],
+                    ["analyze", "--in", str(out)]):
+        status, stdout, stderr = _run_cli(command)
+        assert status in (0, 1, 2)
+        if status == 2:
+            (line,) = stderr.splitlines()
+            record = _strict_json(line)
+            assert set(record) == {"error", "message"}
+            assert stdout == ""
+            if command[0] != "analyze":
+                assert not out.exists()
+                break
+        elif command[0] == "analyze":
+            assert _strict_json(stdout)["input"] == str(out)
+        else:
+            assert out.exists()

@@ -260,3 +260,48 @@ def test_density_matrix_rejects_negative():
     mat = np.diag([1.5, -0.5]).astype(complex)
     with pytest.raises(ValueError):
         DensityMatrix(space, mat)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_density_matrix_rejects_non_finite(bad):
+    # every comparison with NaN is False, so the other checks would pass it
+    space = HilbertSpace((2,))
+    mat = np.diag([1.0, 0.0]).astype(complex)
+    mat[0, 1] = mat[1, 0] = bad
+    with pytest.raises(ValueError, match="non-finite"):
+        DensityMatrix(space, mat)
+
+
+def test_density_matrix_each_checks_a_stack_like_one_matrix_each(monkeypatch):
+    # one stacked eigvalsh for the finite matrices; each matrix fails with
+    # the message its own construction raises, and a passing one is a state
+    space = HilbertSpace((2,))
+    good = np.array([[0.7, 0.2j], [-0.2j, 0.3]])
+    nonfinite = good.copy()
+    nonfinite[1, 1] = np.nan
+    stack = np.array([
+        good,
+        good + np.array([[0.0, 1e-9], [0.0, 0.0]]),
+        2.0 * good,
+        np.diag([1.2, -0.2]),
+        nonfinite,
+        np.diag([1.0, 0.0]),
+    ])
+    shapes = []
+    eigvalsh = np.linalg.eigvalsh
+    monkeypatch.setattr(np.linalg, "eigvalsh", lambda a: shapes.append(a.shape) or eigvalsh(a))
+    states = DensityMatrix.each(space, stack)
+    assert shapes == [(5, 2, 2)]
+    monkeypatch.setattr(np.linalg, "eigvalsh", eigvalsh)
+    assert [isinstance(state, DensityMatrix) for state in states] == [
+        True, False, False, False, False, True,
+    ]
+    for mat, state in zip(stack, states):
+        try:
+            alone = DensityMatrix(space, mat)
+        except ValueError as exc:
+            assert str(state) == str(exc)
+        else:
+            assert state.space == space
+            assert np.array_equal(state.matrix, alone.matrix)
+            assert not state.matrix.flags.writeable

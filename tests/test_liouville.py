@@ -95,6 +95,19 @@ def test_model_requires_hermitian_hamiltonian():
         LindbladModel(space, bad, ())
 
 
+@pytest.mark.parametrize("part", ["hamiltonian", "collapse"])
+def test_model_rejects_non_finite_entries(part):
+    # a NaN fails every comparison, the Hermiticity check included
+    space = HilbertSpace((2,))
+    nan = OperatorMatrix(space, np.array([[0.0, np.nan], [np.nan, 0.0]]))
+    zero = 0.0 * identity(space)
+    with pytest.raises(ValueError, match="non-finite"):
+        if part == "hamiltonian":
+            LindbladModel(space, nan, ())
+        else:
+            LindbladModel(space, zero, (nan,))
+
+
 def test_apply_zero_generator():
     space = HilbertSpace((3,))
     model = LindbladModel(space, 0.0 * identity(space), ())
@@ -420,27 +433,36 @@ def test_parametric_residual_is_true_residual(monkeypatch, field, scheme, params
         assert solution.residual_norm == pytest.approx(direct, rel=1e-9, abs=1e-15)
 
 
-def _one_point_condition(system, value):
-    """The condition estimate of the per-point solve that the block solve
-    replaced: one sparse LU of the value's own trace-replaced system and
-    scipy's ``onenormest`` on its solves."""
+def _system_matrix(system, value):
+    """The trace-replaced system at ``value`` as stored: in its fill-reducing order."""
     size = system.model.space.total_dim ** 2
     data = system._base + value * system._step
-    scale = max(1.0, system._head_max, float(np.abs(data).max()))
-    data[system._trace] = scale
-    matrix = sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
-    lu = splu(matrix, permc_spec="NATURAL")
+    data[system._trace] = max(1.0, system._head_max, float(np.abs(data).max()))
+    return sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
+
+
+def _one_point_solve(system, value, relax=liouville._SUPERNODE_RELAX):
+    """The per-point solve that the block solve replaced: one sparse LU of
+    the value's own trace-replaced system, the state it solves for and
+    scipy's ``onenormest`` condition estimate on its solves."""
+    matrix = _system_matrix(system, value)
+    anorm = float(np.add.reduceat(np.abs(matrix.data), matrix.indptr[:-1]).max())
+    lu = splu(matrix, permc_spec="NATURAL", relax=relax)
+    # the trace row's scale cancels in the trace normalization
+    rhs = np.zeros(matrix.shape[0], dtype=complex)
+    rhs[system._position[0]] = 1.0
+    rho = unvectorize(lu.solve(rhs)[system._position], system.model.space.total_dim)
+    rho = 0.5 * (rho + rho.conj().T)
     inverse = LinearOperator(
-        (size, size),
+        matrix.shape,
         matvec=lu.solve,
         rmatvec=lambda x: lu.solve(x, trans="H"),
         dtype=complex,
     )
-    anorm = float(np.add.reduceat(np.abs(data), system._indptr[:-1]).max())
-    return anorm * float(onenormest(inverse, t=1))
+    return rho / np.trace(rho).real, anorm * float(onenormest(inverse, t=1))
 
 
-@pytest.mark.parametrize(
+_BLOCK_CASES = pytest.mark.parametrize(
     "field, scheme, params, values",
     [
         ("delta", "five", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
@@ -451,12 +473,19 @@ def _one_point_condition(system, value):
     ],
     ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "two-atoms"],
 )
+
+
+def _parametric_system(field, scheme, params):
+    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
+    params = replace(params, **{field: 0.0})
+    return ParametricSteadyState(builder(params), scan_operator(params, field, scheme))
+
+
+@_BLOCK_CASES
 def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, values):
     # a block-diagonal LU and the lockstep condition estimate give every
     # value the bits of its own one-point solve
-    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
-    params = replace(params, **{field: 0.0})
-    system = ParametricSteadyState(builder(params), scan_operator(params, field, scheme))
+    system = _parametric_system(field, scheme, params)
     size = system.model.space.total_dim ** 2
     per_block = 2 if params.n_atoms == 2 else 3
     monkeypatch.setattr(liouville, "_BLOCK_ROWS", per_block * size)
@@ -469,15 +498,18 @@ def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, 
         assert block.residual_norm == alone.residual_norm
         assert block.tolerance == alone.tolerance
         cond = block.diagnostics.condition_estimate
-        assert cond == alone.diagnostics.condition_estimate == _one_point_condition(system, value)
+        assert cond == alone.diagnostics.condition_estimate == _one_point_solve(system, value)[1]
 
 
-def _system_matrix(system, value):
-    """The trace-replaced system at ``value`` as stored: in its fill-reducing order."""
-    size = system.model.space.total_dim ** 2
-    data = system._base + value * system._step
-    data[system._trace] = max(1.0, system._head_max, float(np.abs(data).max()))
-    return sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
+@_BLOCK_CASES
+def test_unrelaxed_lu_matches_superlu_default_relaxation(field, scheme, params, values):
+    # the block LUs leave SuperLU's supernodes unrelaxed; every state and
+    # estimate must be that of an LU with the default relaxation
+    system = _parametric_system(field, scheme, params)
+    for value, solution in zip(values, system.solve_each(values), strict=True):
+        rho, cond = _one_point_solve(system, value, relax=None)
+        assert np.max(np.abs(solution.rho.matrix - rho)) <= 1e-12 * np.max(np.abs(rho))
+        assert solution.diagnostics.condition_estimate == pytest.approx(cond, rel=1e-10)
 
 
 @pytest.mark.parametrize(
@@ -552,6 +584,49 @@ def test_block_solve_warns_once_per_near_degenerate_value_in_order():
             seen.append((outcome.diagnostics.near_degenerate, len(caught)))
     assert seen == [(False, 0), (True, 1), (False, 1), (True, 2), (False, 2)]
     assert all(w.category is NearDegeneracyWarning for w in caught)
+
+
+def test_non_finite_condition_estimate_is_singular(monkeypatch):
+    # a NaN estimate fails every comparison, so it must not pass as healthy;
+    # the point before it in the block is still yielded
+    estimate = liouville._inverse_one_norms
+
+    def nan_at_second_point(lu, points, size):
+        norms = estimate(lu, points, size)
+        norms[1] = np.nan
+        return norms
+
+    monkeypatch.setattr(liouville, "_inverse_one_norms", nan_at_second_point)
+    system = _parametric_system("delta", "five", PhysicsParams())
+    monkeypatch.setattr(liouville, "_BLOCK_ROWS", 3 * system.model.space.total_dim ** 2)
+    solutions = system.solve_each([-0.5, 0.0, 0.5])
+    first = next(solutions)
+    assert first.converged and not first.diagnostics.near_degenerate
+    with pytest.raises(DegenerateSteadyStateError, match=r"condition ~ nan\)") as caught:
+        next(solutions)
+    assert math.isnan(caught.value.condition_estimate)
+
+
+def test_block_raises_a_state_violation_when_its_point_is_yielded(monkeypatch):
+    # a block's states are checked at once, but a point that fails raises
+    # only when it is yielded, after the points before it
+    each = DensityMatrix.each
+    violation = ValueError("density matrix not positive: lowest eigenvalue -1.000e-06")
+
+    def second_fails(space, stack):
+        states = each(space, stack)
+        states[1] = violation
+        return states
+
+    monkeypatch.setattr(DensityMatrix, "each", second_fails)
+    system = _parametric_system("delta", "five", PhysicsParams())
+    monkeypatch.setattr(liouville, "_BLOCK_ROWS", 3 * system.model.space.total_dim ** 2)
+    solutions = system.solve_each([-0.5, 0.0, 0.5])
+    assert next(solutions).converged
+    with pytest.raises(SteadyStateConvergenceError) as caught:
+        next(solutions)
+    assert str(caught.value) == f"solution violates state invariants: {violation}"
+    assert caught.value.__cause__ is violation and caught.value.solution is None
 
 
 def test_residual_reference_scale_is_the_working_point():

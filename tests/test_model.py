@@ -157,6 +157,12 @@ def test_decoupled_atom_has_no_unique_steady_state():
         steady_state(build_model(replace(WORKING_POINT, g=0.0, omega_con=0.0)))
 
 
+def test_overflowing_parameters_are_a_config_error():
+    # g is finite in MHz but not in rad/us; inf * 0 entries are expected
+    with np.errstate(invalid="ignore"), pytest.raises(ConfigError, match="non-finite"):
+        build_model(replace(WORKING_POINT, g=1e308))
+
+
 def test_transmission_requires_probe():
     params = replace(WORKING_POINT, n_atoms=0, n_p=0.0)
     solution = steady_state(build_model(params))

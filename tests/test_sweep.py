@@ -203,17 +203,18 @@ def test_sweep_builds_and_assembles_once(monkeypatch):
 
 
 def test_sweep_orders_once_and_factors_in_that_order(monkeypatch):
-    # one fill-reducing ordering per system; every block's LU keeps it
+    # one fill-reducing ordering per system; every block's LU keeps it and
+    # leaves SuperLU's supernodes unrelaxed
     orderings, specs = [], []
     order = liouville._fill_reducing_position
     factor = liouville.splu
     monkeypatch.setattr(liouville, "_fill_reducing_position",
                         lambda *args: orderings.append(args) or order(*args))
-    monkeypatch.setattr(liouville, "splu", lambda matrix, permc_spec: (
-        specs.append(permc_spec) or factor(matrix, permc_spec)))
+    monkeypatch.setattr(liouville, "splu", lambda matrix, permc_spec, relax: (
+        specs.append((permc_spec, relax)) or factor(matrix, permc_spec, relax=relax)))
     run_sweep(SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 9, WORKING_POINT))
     assert len(orderings) == 1
-    assert specs == ["NATURAL"] * 3
+    assert specs == [("NATURAL", 1)] * 3
 
 
 def test_sweep_checks_the_closed_form_before_solving(monkeypatch):
