@@ -289,10 +289,13 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
+    except OverflowError as exc:
+        # a float power (g**2, omega_con**2) of a huge but finite parameter
+        record = {"error": "ConfigError", "message": f"parameters overflow: {exc}"}
     except (ConfigError, CapacityError, DegenerateSteadyStateError, EdgeExtremumError,
             SteadyStateConvergenceError, MemoryError) as exc:
         # numpy raises a private MemoryError subclass, so name the base class
         name = "MemoryError" if isinstance(exc, MemoryError) else type(exc).__name__
         record = {"error": name, "message": str(exc) or "out of memory"}
-        print(json.dumps(record), file=sys.stderr)
-        return 2
+    print(json.dumps(record), file=sys.stderr)
+    return 2

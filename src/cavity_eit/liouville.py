@@ -10,8 +10,10 @@ factorization.  A family H + v*G with G real diagonal changes only the
 diagonal of that system, so a sweep over v assembles it once, orders it for
 sparse LU once, and each block of values is one diagonal update per value and
 one sparse LU of their block-diagonal system, with SuperLU's supernodes left
-unrelaxed: one sparse LU per block of points, whose states (one stacked
-eigendecomposition) and residuals are checked for the whole block at once.
+unrelaxed and threshold partial pivoting that keeps the diagonal pivots the
+stored order assumes: one sparse LU per block of points, whose states (one
+stacked eigendecomposition) and residuals are checked for the whole block at
+once.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model from
@@ -82,6 +84,19 @@ _BLOCK_ROWS = 1024
 # 6.2-7.9 ms, 625 rows 10.3-11.4 against 8.9-10.0 ms, two atoms at 2500 rows
 # 323-376 against 227-254 ms and at 5625 rows 5.0-5.3 against 4.2-4.5 s.
 _SUPERNODE_RELAX = 1
+# Threshold partial pivoting for the block LUs: SuperLU keeps the diagonal
+# pivot unless it is below 0.1 of its column's largest entry, where the
+# default (1.0) takes the largest entry, so the stored fill-reducing order,
+# which assumes diagonal pivots, keeps its fill.  One LU with relax=1 on a
+# 2-core host, 1 BLAS thread, 1.0 against 0.1 (interquartile range of
+# alternating repetitions; L+U fill): 4 x 225 rows 2.9-3.4 against
+# 2.4-2.7 ms (42,132 against 35,184), 2 x 400 5.4-6.1 against 4.0-4.4 ms
+# (72,546 / 58,372), 625 rows 6.9-11.8 against 4.1-5.5 ms (86,358 /
+# 58,561), two atoms at 2500 rows 183-241 against 128-174 ms (1.03 M /
+# 0.82 M) and at 5625 rows 3.4-3.6 against 1.8 s (6.61 M / 4.83 M).  The
+# scaled backward error max|Ax - b| / (max|A| max|x|) over the default
+# window's blocks is 1.8e-16 at 1.0, 2.1e-16 at 0.1 and 1.2e-15 at 0.01.
+_DIAG_PIVOT_THRESH = 0.1
 
 
 @dataclass(frozen=True, eq=False)
@@ -266,7 +281,9 @@ class ParametricSteadyState:
     ``MMD_AT_PLUS_A`` column order, a function of the pattern alone, is
     computed once here, and the system is stored permuted by it
     symmetrically (P A P^T, rows and columns alike), so that every LU
-    factors it with ``permc_spec="NATURAL"`` and ``relax=_SUPERNODE_RELAX``.
+    factors it with ``permc_spec="NATURAL"``, ``relax=_SUPERNODE_RELAX`` and
+    ``diag_pivot_thresh=_DIAG_PIVOT_THRESH``, which keeps the diagonal pivots
+    that order was computed for.
     The right-hand side and the solutions pass through the permutation.
     :meth:`solve_each` stacks the systems of a block of values into one
     block-diagonal matrix (``_BLOCK_ROWS`` Liouville rows at most): one
@@ -365,7 +382,10 @@ class ParametricSteadyState:
         )
         try:
             # the system is stored in its fill-reducing order already
-            lu = splu(system, permc_spec="NATURAL", relax=_SUPERNODE_RELAX)
+            lu = splu(
+                system, permc_spec="NATURAL", relax=_SUPERNODE_RELAX,
+                diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+            )
         except RuntimeError as exc:
             if points == 1:
                 raise DegenerateSteadyStateError(
@@ -379,11 +399,13 @@ class ParametricSteadyState:
         rhs = np.zeros((points, size), dtype=complex)
         rhs[:, self._position[0]] = scales
         vecs = lu.solve(rhs.reshape(-1)).reshape(points, size)[:, self._position]
-        column_sums = np.add.reduceat(np.abs(data.reshape(-1)), system.indptr[:-1])
-        conds = column_sums.reshape(points, size).max(axis=1) * _inverse_one_norms(lu, points, size)
         finite = np.isfinite(vecs).all(axis=1)
-        # a point whose state is not finite raises on its own check below, in order
+        # a point whose state or estimate is not finite raises on its own
+        # check below, in order, so overflow here is no warning
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            column_sums = np.add.reduceat(np.abs(data.reshape(-1)), system.indptr[:-1])
+            anorm = column_sums.reshape(points, size).max(axis=1)
+            conds = anorm * _inverse_one_norms(lu, points, size)
             states, residuals = self._states(values, vecs)
         for p in range(points):
             yield self._solution(
@@ -423,9 +445,12 @@ class ParametricSteadyState:
         """The checks of one value's solved state, as :meth:`solve_each` yields it."""
         # a NaN estimate fails every comparison, so it is singular unless finite
         if not finite or not math.isfinite(cond) or cond > _SINGULAR_COND:
+            cause = (
+                "the generator has multiple steady states" if finite and math.isfinite(cond)
+                else "the solve or its condition estimate overflowed"
+            )
             raise DegenerateSteadyStateError(
-                f"steady-state system is numerically singular (condition ~ {cond:.3e}); "
-                "the generator has multiple steady states",
+                f"steady-state system is numerically singular (condition ~ {cond:.3e}); {cause}",
                 condition_estimate=cond,
             )
         near = cond > _COND_WARN

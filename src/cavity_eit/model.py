@@ -30,6 +30,8 @@ import math
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import CapacityError, ConfigError
 from .hilbert import (
     DensityMatrix,
@@ -192,6 +194,9 @@ def _scan_operators(space: HilbertSpace, n_atoms: int, g1: int | None) -> dict[s
     return {"delta": g1_population, "delta_p_cav": number}
 
 
+# an overflow from finite parameters is no warning: LindbladModel's finite
+# check turns it into a ConfigError below
+@np.errstate(over="ignore", invalid="ignore")
 def _build(params: PhysicsParams, scheme: str, drive_eta: float | None) -> LindbladModel:
     _, g1, g2, excited = _level_scheme(params, scheme)
     n_atoms = params.n_atoms

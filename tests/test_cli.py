@@ -457,6 +457,45 @@ def test_semiclassical_engine_without_gamma_exits_with_error_record(tmp_path, ca
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "config_text, command, error",
+    [
+        ("g = 1e160\n", ["eit-sweep"], "DegenerateSteadyStateError"),
+        ("g = 1e200\n", ["eit-sweep"], "DegenerateSteadyStateError"),
+        ("g = 1e308\n", ["eit-sweep"], "ConfigError"),
+        ("g = 1e200\n", ["eit-sweep", "--engine", "sc"], "ConfigError"),
+        ("omega_con = 1e200\n", ["converge", "--nmax-list", "1,2"], "ConfigError"),
+    ],
+    ids=["g-1e160", "g-1e200", "g-1e308", "closed-form-g-1e200", "converge-omega-1e200"],
+)
+def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, command, error):
+    # finite parameters that overflow the condition estimate (g = 1e160),
+    # the solve (1e200), the model (1e308) or a float power: the run exits 2
+    # with its record as the only line on stderr, ahead of which no
+    # RuntimeWarning is printed under Python's default warning filters
+    config = tmp_path / "huge.cfg"
+    config.write_text(config_text + "n_points = 5\n", encoding="utf-8")
+    out = tmp_path / "o.csv"
+    package_root = Path(cavity_eit.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "cavity_eit", *command, "--config", str(config),
+         "--out", str(out)],
+        env=dict(os.environ, PYTHONPATH=str(package_root)), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    record = _strict_json(line)
+    assert set(record) == {"error", "message"}
+    assert record["error"] == error
+    if error == "DegenerateSteadyStateError":
+        assert record["message"].endswith("the solve or its condition estimate overflowed")
+    else:
+        assert "overflow" in record["message"]
+    assert not out.exists()
+
+
 def _sweep_at_blas_threads(out, threads, *args):
     """Run ``eit-sweep --deterministic`` in a fresh process with the BLAS
     limited to ``threads`` threads; return the CSV's bytes."""

@@ -203,18 +203,19 @@ def test_sweep_builds_and_assembles_once(monkeypatch):
 
 
 def test_sweep_orders_once_and_factors_in_that_order(monkeypatch):
-    # one fill-reducing ordering per system; every block's LU keeps it and
-    # leaves SuperLU's supernodes unrelaxed
+    # one fill-reducing ordering per system; every block's LU keeps it,
+    # leaves SuperLU's supernodes unrelaxed and prefers diagonal pivots
     orderings, specs = [], []
     order = liouville._fill_reducing_position
     factor = liouville.splu
     monkeypatch.setattr(liouville, "_fill_reducing_position",
                         lambda *args: orderings.append(args) or order(*args))
-    monkeypatch.setattr(liouville, "splu", lambda matrix, permc_spec, relax: (
-        specs.append((permc_spec, relax)) or factor(matrix, permc_spec, relax=relax)))
+    monkeypatch.setattr(liouville, "splu", lambda matrix, permc_spec, relax, diag_pivot_thresh: (
+        specs.append((permc_spec, relax, diag_pivot_thresh))
+        or factor(matrix, permc_spec, relax=relax, diag_pivot_thresh=diag_pivot_thresh)))
     run_sweep(SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 9, WORKING_POINT))
     assert len(orderings) == 1
-    assert specs == [("NATURAL", 1)] * 3
+    assert specs == [("NATURAL", 1, 0.1)] * 3
 
 
 def test_sweep_checks_the_closed_form_before_solving(monkeypatch):
@@ -268,8 +269,9 @@ def test_sweep_names_a_singular_point_inside_a_block(monkeypatch):
     monkeypatch.setattr(sweep, "scan_operator", lambda params, field, scheme: sigma_z)
     spec = SweepSpec(VAR_PROBE_CAVITY, -2.0, 2.0, 5, WORKING_POINT, level_scheme="two")
     with pytest.raises(DegenerateSteadyStateError,
-                       match=r"^sweep point probe_cavity_detuning = 0\.0 MHz: "):
+                       match=r"^sweep point probe_cavity_detuning = 0\.0 MHz: ") as caught:
         run_sweep(spec)
+    assert caught.value.condition_estimate == math.inf
 
 
 def _lorentzian_records(center=0.2, width=0.3, n=41):
