@@ -24,7 +24,6 @@ from .hilbert import (
     basis_projector,
     expectation,
     identity,
-    tensor,
     transition_operator,
 )
 from .liouville import (

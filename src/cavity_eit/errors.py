@@ -6,7 +6,7 @@ class CapacityError(ValueError):
 
 
 class DegenerateSteadyStateError(RuntimeError):
-    """The Lindblad generator has (numerically) more than one steady state."""
+    """The steady-state system is numerically singular: no unique state is determined."""
 
     def __init__(self, message, condition_estimate=None):
         super().__init__(message)

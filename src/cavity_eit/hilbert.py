@@ -213,27 +213,6 @@ def annihilation_operator(space: HilbertSpace, cavity_subsystem: int) -> Operato
     return _embed(space, cavity_subsystem, local)
 
 
-def tensor(ops: list[OperatorMatrix], space: HilbertSpace | None = None) -> OperatorMatrix:
-    """Kronecker product of single-subsystem operators, in subsystem order.
-
-    If ``space`` is given, the factor dimensions must match it exactly.
-    """
-    if not ops:
-        raise ValueError("tensor of zero factors is undefined")
-    for op in ops:
-        if op.space.n_subsystems != 1:
-            raise ValueError("tensor factors must be single-subsystem operators")
-    dims = tuple(op.space.total_dim for op in ops)
-    if space is not None and dims != space.subsystem_dims:
-        raise ValueError(
-            f"factor dimensions {dims} do not match space {space.subsystem_dims}"
-        )
-    out = ops[0].matrix
-    for op in ops[1:]:
-        out = np.kron(out, op.matrix)
-    return OperatorMatrix(space or HilbertSpace(dims), out)
-
-
 def expectation(rho: DensityMatrix, op: OperatorMatrix) -> complex:
     """trace(op . rho)."""
     if rho.space != op.space:

@@ -57,17 +57,16 @@ TRACE_DRIFT_LIMIT = 1e-6
 # 2500.
 _TABULATE_MAX_SIZE = 512
 
-# Reported as SolverDiagnostics.method: every solve is one sparse LU.
-_SOLVE_METHOD = "sparse"
 # Conditioning of the balanced trace-replaced system: healthy solves sit
 # around 1e4..1e6 here; values beyond _COND_WARN signal a near-degenerate
-# generator (second steady state opening up), beyond _SINGULAR_COND an
-# actually multiple steady state.
+# generator (second steady state opening up), beyond _SINGULAR_COND a state
+# the system does not determine: a second steady state, or rates that span
+# too many orders of magnitude, which the estimate cannot tell apart.
 _COND_WARN = 1e9
 _SINGULAR_COND = 1e14
 # Largest generator entry max|L| at the default working point.  A residual
-# is judged against tol * max(1, max|L| / L_REF), so a model at or below
-# this scale keeps the absolute tolerance and a rescaled one scales it.
+# is judged against DEFAULT_TOL * max(1, max|L| / L_REF), so a model at or
+# below this scale keeps the absolute tolerance and a rescaled one scales it.
 L_REF = 2.842e3
 # Liouville rows of one block-diagonal system in ParametricSteadyState: a
 # one-atom point (size 225) solves 4 values per sparse LU, a two-atom point
@@ -130,9 +129,8 @@ class LindbladModel:
 
 @dataclass(frozen=True)
 class SolverDiagnostics:
-    """Conditioning and method metadata for one steady-state solve."""
+    """Size and conditioning of one steady-state solve."""
 
-    method: str
     dimension: int
     condition_estimate: float
     near_degenerate: bool
@@ -344,25 +342,24 @@ class ParametricSteadyState:
         self._apply = _apply_factory(model)
         self.model = model
 
-    def solve_each(
-        self, values: Iterable[float], tol: float = DEFAULT_TOL
-    ) -> Iterator[SteadyStateSolution]:
+    def solve_each(self, values: Iterable[float]) -> Iterator[SteadyStateSolution]:
         """Yield the steady state (L(v) rho = 0, trace 1) at each of ``values``.
 
-        Each solution carries ``tolerance = tol * max(1, scale / L_REF)``,
-        with ``scale`` the largest entry of its system, and ``converged``,
-        so a residual miss does not end the iteration.  A value with no
-        usable state raises DegenerateSteadyStateError (numerically singular
-        system) or SteadyStateConvergenceError without a solution (state
-        invariants violated), which ends it.  NearDegeneracyWarnings are
-        emitted per value, as it is yielded.
+        Each solution carries the fixed bound ``tolerance = DEFAULT_TOL *
+        max(1, scale / L_REF)``, with ``scale`` the largest entry of its
+        system, and ``converged``, so a residual miss does not end the
+        iteration.  A value with no usable state raises
+        DegenerateSteadyStateError (numerically singular system) or
+        SteadyStateConvergenceError without a solution (state invariants
+        violated), which ends it.  NearDegeneracyWarnings are emitted per
+        value, as it is yielded.
         """
         values = [float(value) for value in values]
         per_block = max(1, _BLOCK_ROWS // self._size)
         for start in range(0, len(values), per_block):
-            yield from self._solve_block(values[start:start + per_block], tol)
+            yield from self._solve_block(values[start:start + per_block])
 
-    def _solve_block(self, values: list[float], tol: float) -> Iterator[SteadyStateSolution]:
+    def _solve_block(self, values: list[float]) -> Iterator[SteadyStateSolution]:
         """Solutions of :meth:`solve_each` for one block from one sparse LU."""
         size = self._size
         points = len(values)
@@ -394,7 +391,7 @@ class ParametricSteadyState:
                 ) from exc
             # name the first singular value exactly: blocks of one, in order
             for value in values:
-                yield from self._solve_block([value], tol)
+                yield from self._solve_block([value])
             return
         rhs = np.zeros((points, size), dtype=complex)
         rhs[:, self._position[0]] = scales
@@ -409,8 +406,7 @@ class ParametricSteadyState:
             states, residuals = self._states(values, vecs)
         for p in range(points):
             yield self._solution(
-                states[p], float(residuals[p]), bool(finite[p]), float(conds[p]),
-                float(scales[p]), tol,
+                states[p], float(residuals[p]), bool(finite[p]), float(conds[p]), float(scales[p])
             )
 
     def _states(
@@ -440,13 +436,15 @@ class ParametricSteadyState:
 
     def _solution(
         self, state: DensityMatrix | ValueError, residual: float, finite: bool, cond: float,
-        scale: float, tol: float,
+        scale: float,
     ) -> SteadyStateSolution:
         """The checks of one value's solved state, as :meth:`solve_each` yields it."""
         # a NaN estimate fails every comparison, so it is singular unless finite
         if not finite or not math.isfinite(cond) or cond > _SINGULAR_COND:
             cause = (
-                "the generator has multiple steady states" if finite and math.isfinite(cond)
+                "the steady state is not determined: a second steady state, or rates "
+                "that span too many orders of magnitude"
+                if finite and math.isfinite(cond)
                 else "the solve or its condition estimate overflowed"
             )
             raise DegenerateSteadyStateError(
@@ -463,7 +461,6 @@ class ParametricSteadyState:
             )
 
         diagnostics = SolverDiagnostics(
-            method=_SOLVE_METHOD,
             dimension=self._size,
             condition_estimate=cond,
             near_degenerate=near,
@@ -476,7 +473,7 @@ class ParametricSteadyState:
             rho=state,
             residual_norm=residual,
             diagnostics=diagnostics,
-            tolerance=tol * max(1.0, scale / L_REF),
+            tolerance=DEFAULT_TOL * max(1.0, scale / L_REF),
         )
 
 
@@ -539,14 +536,15 @@ def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
     return estimate
 
 
-def steady_state(model: LindbladModel, tol: float = DEFAULT_TOL) -> SteadyStateSolution:
+def steady_state(model: LindbladModel) -> SteadyStateSolution:
     """Solve L vec(rho) = 0 with trace(rho) = 1 by trace-row replacement.
 
     The v = 0 case of :meth:`ParametricSteadyState.solve_each`, with its
-    errors, and the one place a residual miss is raised: a
-    SteadyStateConvergenceError carrying the solution that is not converged.
+    errors and its fixed residual bound, and the one place a residual miss
+    is raised: a SteadyStateConvergenceError carrying the solution that is
+    not converged.
     """
-    solution = next(ParametricSteadyState(model).solve_each([0.0], tol))
+    solution = next(ParametricSteadyState(model).solve_each([0.0]))
     if not solution.converged:
         raise SteadyStateConvergenceError(
             f"steady-state residual {solution.residual_norm:.3e} exceeds tolerance "

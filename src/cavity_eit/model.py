@@ -324,6 +324,14 @@ def ground_coherence_decay(params: PhysicsParams) -> float:
     return TWO_PI * params.gamma_deph / 2.0
 
 
+def empty_cavity_photons(params: PhysicsParams) -> float:
+    """n_p, the normalization T0 of T/T0; a probe drive below 1e-15 photons
+    leaves the ratio undefined and is a ConfigError."""
+    if params.n_p < 1e-15:
+        raise ConfigError("probe drive is zero; relative transmission is undefined")
+    return params.n_p
+
+
 def relative_transmission(solution: SteadyStateSolution, params: PhysicsParams) -> float:
     """T/T0: coherent cavity response |<a>|^2 over the empty-cavity value n_p.
 
@@ -339,6 +347,5 @@ def relative_transmission(solution: SteadyStateSolution, params: PhysicsParams) 
     :func:`mean_photon_number` and is reported alongside the transmission in
     sweep records.
     """
-    if params.n_p < 1e-15:
-        raise ConfigError("probe drive is zero; relative transmission is undefined")
-    return abs(mean_cavity_amplitude(solution.rho)) ** 2 / params.n_p
+    t0 = empty_cavity_photons(params)
+    return abs(mean_cavity_amplitude(solution.rho)) ** 2 / t0

@@ -28,13 +28,14 @@ from .errors import (
     SteadyStateConvergenceError,
 )
 from .hilbert import expectation
-from .liouville import DEFAULT_TOL, ParametricSteadyState, steady_state
+from .liouville import ParametricSteadyState, steady_state
 from .model import (
     TWO_PI,
     PhysicsParams,
     build_model,
     cavity_operators,
     drive_amplitude,
+    empty_cavity_photons,
     model_space,
     scan_operator,
     three_level_model,
@@ -119,10 +120,6 @@ class SpectrumRecord:
     converged: bool = True
 
 
-def grid_points(spec: SweepSpec) -> np.ndarray:
-    return np.linspace(spec.start, spec.stop, spec.n_points)
-
-
 def _point_label(spec: SweepSpec, value: float) -> str:
     return f"sweep point {spec.variable} = {value} MHz"
 
@@ -192,29 +189,28 @@ def _semiclassical_point(spec: SweepSpec, value: float, t0: float) -> SpectrumRe
     )
 
 
-def run_sweep(spec: SweepSpec, *, tol: float = DEFAULT_TOL) -> list[SpectrumRecord]:
+def run_sweep(spec: SweepSpec) -> list[SpectrumRecord]:
     """Solve every grid point with every requested engine.
 
     Records are ordered by sweep value, then engine tag.  Master-equation
-    points that miss the residual tolerance are recorded with
+    points that miss the fixed residual tolerance of
+    :meth:`ParametricSteadyState.solve_each` are recorded with
     ``converged=False`` instead of aborting the sweep; capacity, degeneracy
     and invalid-state problems abort with the offending point identified.
     """
-    t0 = spec.base_params.n_p
-    if t0 < 1e-15:
-        raise ConfigError("probe drive is zero; relative transmission is undefined")
+    t0 = empty_cavity_photons(spec.base_params)
     # Drive amplitude and normalization are pinned to the base parameters so
     # that probe-cavity scans trace the resonance line at fixed input power.
     eta = drive_amplitude(spec.base_params)
 
-    grid = grid_points(spec)
+    grid = np.linspace(spec.start, spec.stop, spec.n_points)
     if ENGINE_SEMICLASSICAL in spec.engines:
         # before the master-equation system is built and solved
         check_closed_form(spec.base_params)
     if ENGINE_MASTER_EQUATION in spec.engines:
         system = _sweep_system(spec, eta, grid[0])
         operators = cavity_operators(system.model.space)
-        solutions = system.solve_each(grid, tol)
+        solutions = system.solve_each(grid)
 
     records: list[SpectrumRecord] = []
     for value in grid:

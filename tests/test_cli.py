@@ -369,10 +369,9 @@ def test_out_of_memory_exits_with_error_record(tmp_path, capsys, monkeypatch):
 def test_converge_residual_miss_exits_with_error_record(tmp_path, small_config, capsys,
                                                        monkeypatch):
     # No configuration is known to miss the scaled residual tolerance, so
-    # the study's solves get a zero tolerance through steady_state's tol,
-    # which every nonzero residual misses.
-    solve = cavity_eit.sweep.steady_state
-    monkeypatch.setattr(cavity_eit.sweep, "steady_state", lambda model: solve(model, tol=0.0))
+    # the study's solves get a zero tolerance, which every nonzero residual
+    # misses.
+    monkeypatch.setattr(cavity_eit.liouville, "DEFAULT_TOL", 0.0)
     out = tmp_path / "converge.csv"
     assert main(["converge", "--config", small_config, "--nmax-list", "1,2",
                  "--out", str(out)]) == 2
@@ -384,7 +383,7 @@ def test_converge_residual_miss_exits_with_error_record(tmp_path, small_config, 
 
 def test_sweep_point_without_solution_exits_with_error_record(tmp_path, small_config, capsys,
                                                               monkeypatch):
-    def broken(self, values, tol):
+    def broken(self, values):
         yield from ()  # a generator, like solve_each, that raises on its first point
         raise cavity_eit.SteadyStateConvergenceError("solution violates state invariants")
 
@@ -457,22 +456,37 @@ def test_semiclassical_engine_without_gamma_exits_with_error_record(tmp_path, ca
     assert not out.exists()
 
 
-@pytest.mark.parametrize(
-    "config_text, command, error",
-    [
-        ("g = 1e160\n", ["eit-sweep"], "DegenerateSteadyStateError"),
-        ("g = 1e200\n", ["eit-sweep"], "DegenerateSteadyStateError"),
-        ("g = 1e308\n", ["eit-sweep"], "ConfigError"),
-        ("g = 1e200\n", ["eit-sweep", "--engine", "sc"], "ConfigError"),
-        ("omega_con = 1e200\n", ["converge", "--nmax-list", "1,2"], "ConfigError"),
-    ],
-    ids=["g-1e160", "g-1e200", "g-1e308", "closed-form-g-1e200", "converge-omega-1e200"],
+_OVERFLOWED = "the solve or its condition estimate overflowed"
+_UNDETERMINED = (
+    "the steady state is not determined: a second steady state, or rates that span too "
+    "many orders of magnitude"
 )
-def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, command, error):
+
+
+@pytest.mark.parametrize(
+    "config_text, command, error, cause",
+    [
+        ("g = 1e160\n", ["eit-sweep"], "DegenerateSteadyStateError", _OVERFLOWED),
+        ("g = 1e200\n", ["eit-sweep"], "DegenerateSteadyStateError", _OVERFLOWED),
+        ("g = 1e308\n", ["eit-sweep"], "ConfigError", None),
+        ("g = 1e200\n", ["eit-sweep", "--engine", "sc"], "ConfigError", None),
+        ("omega_con = 1e200\n", ["converge", "--nmax-list", "1,2"], "ConfigError", None),
+        ("kappa = 1e200\n", ["eit-sweep"], "DegenerateSteadyStateError", _UNDETERMINED),
+        ("n_p = 1e300\n", ["converge", "--nmax-list", "1,2"], "DegenerateSteadyStateError",
+         _UNDETERMINED),
+    ],
+    ids=["g-1e160", "g-1e200", "g-1e308", "closed-form-g-1e200", "converge-omega-1e200",
+         "kappa-1e200", "converge-n_p-1e300"],
+)
+def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, command, error,
+                                                         cause):
     # finite parameters that overflow the condition estimate (g = 1e160),
     # the solve (1e200), the model (1e308) or a float power: the run exits 2
     # with its record as the only line on stderr, ahead of which no
-    # RuntimeWarning is printed under Python's default warning filters
+    # RuntimeWarning is printed under Python's default warning filters.
+    # Rates ~200 decades apart (kappa = 1e200, n_p = 1e300) leave a finite
+    # estimate above the singular bound, which cannot tell a second steady
+    # state from bad scaling, so the message claims neither.
     config = tmp_path / "huge.cfg"
     config.write_text(config_text + "n_points = 5\n", encoding="utf-8")
     out = tmp_path / "o.csv"
@@ -489,10 +503,11 @@ def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, 
     record = _strict_json(line)
     assert set(record) == {"error", "message"}
     assert record["error"] == error
-    if error == "DegenerateSteadyStateError":
-        assert record["message"].endswith("the solve or its condition estimate overflowed")
-    else:
+    if cause is None:
         assert "overflow" in record["message"]
+    else:
+        assert record["message"].endswith(cause)
+        assert "multiple steady states" not in record["message"]
     assert not out.exists()
 
 

@@ -9,9 +9,9 @@ from cavity_eit import (
     basis_projector,
     expectation,
     identity,
-    tensor,
     transition_operator,
 )
+from cavity_eit.hilbert import _embed
 
 
 def test_space_total_dim():
@@ -121,53 +121,6 @@ def test_truncated_commutator():
     assert np.allclose(comm.matrix, np.diag([1.0, 1.0, -float(n_max)]))
 
 
-def test_tensor_identities():
-    a = identity(HilbertSpace((2,)))
-    b = identity(HilbertSpace((3,)))
-    assert np.array_equal(tensor([a, b]).matrix, np.eye(6, dtype=complex))
-
-
-def test_tensor_projectors():
-    a = OperatorMatrix(HilbertSpace((2,)), np.diag([1.0, 0.0]))
-    b = OperatorMatrix(HilbertSpace((2,)), np.diag([0.0, 1.0]))
-    assert np.array_equal(tensor([a, b]).matrix, np.diag([0.0, 1.0, 0.0, 0.0]).astype(complex))
-
-
-def test_tensor_mixed_product_property():
-    rng = np.random.default_rng(7)
-    qubit = HilbertSpace((2,))
-
-    def random_op():
-        mat = rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2))
-        return OperatorMatrix(qubit, mat)
-
-    for _ in range(10):
-        a, b, c, d = (random_op() for _ in range(4))
-        left = tensor([a, b]) @ tensor([c, d])
-        right = tensor([a @ c, b @ d])
-        assert np.allclose(left.matrix, right.matrix, atol=1e-12)
-
-
-def test_tensor_space_mismatch():
-    a = identity(HilbertSpace((2,)))
-    b = identity(HilbertSpace((3,)))
-    with pytest.raises(ValueError):
-        tensor([a, b], space=HilbertSpace((2, 2)))
-    with pytest.raises(ValueError):
-        tensor([tensor([a, a]), b])
-
-
-def test_tensor_dagger_factorizes():
-    rng = np.random.default_rng(3)
-    ops = [
-        OperatorMatrix(HilbertSpace((2,)), rng.normal(size=(2, 2)) + 1j * rng.normal(size=(2, 2)))
-        for _ in range(2)
-    ]
-    assert np.array_equal(
-        tensor(ops).dagger().matrix, tensor([op.dagger() for op in ops]).matrix
-    )
-
-
 def test_dagger_involution():
     rng = np.random.default_rng(4)
     op = OperatorMatrix(HilbertSpace((3,)), rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
@@ -175,29 +128,17 @@ def test_dagger_involution():
 
 
 def test_embedding_commutes_with_multiplication():
+    # the mixed-product property of the Kronecker chain every model
+    # operator is built from: embed(A) embed(B) = embed(AB) on each subsystem
     rng = np.random.default_rng(11)
     space = HilbertSpace((3, 2))
     for subsystem, dim in ((0, 3), (1, 2)):
         for _ in range(5):
             raw_a = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
             raw_b = rng.normal(size=(dim, dim)) + 1j * rng.normal(size=(dim, dim))
-            local = HilbertSpace((dim,))
-            factors_a = [
-                OperatorMatrix(local, raw_a) if k == subsystem else identity(HilbertSpace((d,)))
-                for k, d in enumerate(space.subsystem_dims)
-            ]
-            factors_b = [
-                OperatorMatrix(local, raw_b) if k == subsystem else identity(HilbertSpace((d,)))
-                for k, d in enumerate(space.subsystem_dims)
-            ]
-            factors_ab = [
-                OperatorMatrix(local, raw_a @ raw_b)
-                if k == subsystem
-                else identity(HilbertSpace((d,)))
-                for k, d in enumerate(space.subsystem_dims)
-            ]
-            embedded = tensor(factors_a, space=space) @ tensor(factors_b, space=space)
-            assert np.allclose(embedded.matrix, tensor(factors_ab, space=space).matrix, atol=1e-12)
+            embedded = _embed(space, subsystem, raw_a) @ _embed(space, subsystem, raw_b)
+            product = _embed(space, subsystem, raw_a @ raw_b)
+            assert np.allclose(embedded.matrix, product.matrix, atol=1e-12)
 
 
 def _vacuum(space):

@@ -166,7 +166,7 @@ def test_sweep_matches_per_point_solves(variable, scheme, params, window):
     field = "delta" if variable == VAR_TWO_PHOTON else "delta_p_cav"
     eta = drive_amplitude(params)
     tol = 1e-9
-    records = run_sweep(spec, tol=tol)
+    records = run_sweep(spec)
     assert [r.sweep_value for r in records] == list(np.linspace(*window, n_points))
     for rec in records:
         solution = steady_state(builder(replace(params, **{field: rec.sweep_value}), drive_eta=eta))
@@ -235,10 +235,12 @@ def test_sweep_requires_probe():
         run_sweep(spec)
 
 
-def test_sweep_flags_points_missing_tolerance():
+def test_sweep_flags_points_missing_tolerance(monkeypatch):
     # an unreachable tolerance flags every record instead of aborting
     spec = SweepSpec(VAR_TWO_PHOTON, 0.0, 0.2, 3, WORKING_POINT)
-    records = run_sweep(spec, tol=1e-18)
+    with monkeypatch.context() as patched:
+        patched.setattr(liouville, "DEFAULT_TOL", 1e-18)
+        records = run_sweep(spec)
     assert len(records) == 3
     assert all(not r.converged for r in records)
     assert all(r.residual_norm > 1e-18 for r in records)
@@ -246,13 +248,14 @@ def test_sweep_flags_points_missing_tolerance():
     assert all(r.converged for r in run_sweep(spec))
 
 
-def test_sweep_flags_each_point_missing_tolerance_inside_a_block():
+def test_sweep_flags_each_point_missing_tolerance_inside_a_block(monkeypatch):
     # the 7 three-level points (Liouville size 81) share one sparse LU; a
     # tolerance between their residuals flags exactly the points above it
     spec = SweepSpec(VAR_TWO_PHOTON, -0.9, 1.7, 7, WORKING_POINT, level_scheme="three")
     residuals = [r.residual_norm for r in run_sweep(spec)]
     tol = float(np.median(residuals))
-    flagged = run_sweep(spec, tol=tol)
+    monkeypatch.setattr(liouville, "DEFAULT_TOL", tol)
+    flagged = run_sweep(spec)
     assert [r.residual_norm for r in flagged] == residuals
     assert [r.converged for r in flagged] == [r <= tol for r in residuals]
     assert False in [r.converged for r in flagged[1:-1]]
@@ -373,8 +376,7 @@ def test_convergence_study_names_a_degenerate_point():
 def test_convergence_study_names_a_residual_miss(monkeypatch):
     # a zero tolerance is missed by every nonzero residual; the named error
     # keeps the solution of the original
-    solve = sweep.steady_state
-    monkeypatch.setattr(sweep, "steady_state", lambda model: solve(model, tol=0.0))
+    monkeypatch.setattr(liouville, "DEFAULT_TOL", 0.0)
     with pytest.raises(SteadyStateConvergenceError,
                        match=r"^n_max = 1, delta = 0\.0 MHz: steady-state residual ") as caught:
         convergence_study(WORKING_POINT, [1, 2])
