@@ -12,9 +12,10 @@ converge     transmission vs Fock truncation at a few detunings
 All frequencies on disk are linear MHz.  Numbers are serialized with 12
 significant digits; adding ``--deterministic`` drops the timestamp comment
 so identical runs produce byte-identical files.  Exit status: 0 all points
-solved within tolerance, 1 some sweep points flagged, 2 configuration or
-solver errors, or running out of memory, that leave no result: a JSON error
-record goes to stderr and no partial ``--out`` file is left behind.
+solved within tolerance, 1 some sweep points flagged, 2 argument,
+configuration or solver errors, or running out of memory, that leave no
+result: a JSON error record goes to stderr and no partial ``--out`` file is
+left behind.
 ``--out`` is opened before the first solve, so an unwritable path fails at
 once.
 """
@@ -241,8 +242,16 @@ def _cmd_converge(args) -> int:
     return 0
 
 
+class _Parser(argparse.ArgumentParser):
+    """A bad argument raises ConfigError, which exits 2 with a JSON record;
+    the subcommand parsers are of this class too."""
+
+    def error(self, message):
+        raise ConfigError(f"{self.prog}: {message}")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="cavity-eit",
         description="Steady-state cavity transmission spectra for multilevel atoms.",
     )
@@ -285,9 +294,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = _build_parser().parse_args(argv)
         return args.func(args)
     except OverflowError as exc:
         # a float power (g**2, omega_con**2) of a huge but finite parameter

@@ -222,6 +222,14 @@ def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
     return apply(0.5 * (mat + adjoint)) + 1j * apply(-0.5j * (mat - adjoint))
 
 
+def check_capacity(space: HilbertSpace) -> None:
+    """Raise CapacityError when the vectorized generator on ``space`` exceeds the cap."""
+    dim = space.total_dim
+    if dim**2 > SUPEROP_DIM_CAP:
+        raise CapacityError(f"composite dimension {dim} gives a vectorized generator of size "
+                            f"{dim**2}, beyond the solver cap {SUPEROP_DIM_CAP}")
+
+
 def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     """Sparse matrix L with L vec(rho) = vec(L(rho)) under column stacking.
 
@@ -231,13 +239,9 @@ def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     that several terms share add up in the order of the terms, and entries
     that cancel are dropped, as in the sum of the sparse Kronecker products.
     """
+    check_capacity(model.space)
     dim = model.space.total_dim
     size = dim * dim
-    if size > SUPEROP_DIM_CAP:
-        raise CapacityError(
-            f"vectorized generator dimension {size} exceeds the cap {SUPEROP_DIM_CAP}; "
-            f"reduce the Hilbert space (total dimension {dim})"
-        )
     h_eff = model.hamiltonian.matrix.astype(complex)
     for op in model.collapse_ops:
         h_eff = h_eff - 0.5j * (op.matrix.conj().T @ op.matrix)

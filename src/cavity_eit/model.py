@@ -32,7 +32,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .errors import CapacityError, ConfigError
+from .errors import ConfigError
 from .hilbert import (
     DensityMatrix,
     HilbertSpace,
@@ -42,7 +42,7 @@ from .hilbert import (
     expectation,
     transition_operator,
 )
-from .liouville import SUPEROP_DIM_CAP, LindbladModel, SteadyStateSolution
+from .liouville import LindbladModel, SteadyStateSolution, check_capacity
 
 TWO_PI = 2.0 * math.pi
 
@@ -166,17 +166,12 @@ def drive_amplitude(params: PhysicsParams) -> float:
 def model_space(params: PhysicsParams, scheme: str = "five") -> HilbertSpace:
     """The space of the ``scheme`` model: N atoms, then the cavity (Fock 0..n_max).
 
-    From dimensions alone, so a caller can check a model's capacity before
-    building it; raises CapacityError when its vectorized generator would
-    exceed the solver cap.
+    From dimensions alone, so a caller can check a model's capacity
+    (:func:`~cavity_eit.liouville.check_capacity`) before building it.
     """
     n_levels = _level_scheme(params, scheme)[0]
     space = HilbertSpace((n_levels,) * params.n_atoms + (params.n_max + 1,))
-    if space.total_dim**2 > SUPEROP_DIM_CAP:
-        raise CapacityError(
-            f"composite dimension {space.total_dim} gives a vectorized generator "
-            f"of size {space.total_dim**2}, beyond the solver cap {SUPEROP_DIM_CAP}"
-        )
+    check_capacity(space)
     return space
 
 
@@ -325,8 +320,8 @@ def ground_coherence_decay(params: PhysicsParams) -> float:
 
 
 def empty_cavity_photons(params: PhysicsParams) -> float:
-    """n_p, the normalization T0 of T/T0; a probe drive below 1e-15 photons
-    leaves the ratio undefined and is a ConfigError."""
+    """n_p, the normalization T0 of T/T0.  Below the probe threshold checked
+    here the ratio is undefined, and the probe drive is a ConfigError."""
     if params.n_p < 1e-15:
         raise ConfigError("probe drive is zero; relative transmission is undefined")
     return params.n_p

@@ -49,9 +49,8 @@ _ENGINES = (ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL)
 
 VAR_TWO_PHOTON = "two_photon_delta"
 VAR_PROBE_CAVITY = "probe_cavity_detuning"
-_VARIABLES = (VAR_TWO_PHOTON, VAR_PROBE_CAVITY)
+_SWEPT_FIELDS = {VAR_TWO_PHOTON: "delta", VAR_PROBE_CAVITY: "delta_p_cav"}
 
-_SCHEMES = ("five", "three", "two")
 _BUILDERS = {"five": build_model, "three": three_level_model, "two": two_level_model}
 
 DEFAULT_SWEEP_START = -0.9
@@ -77,7 +76,7 @@ class SweepSpec:
 
     def __post_init__(self):
         object.__setattr__(self, "engines", tuple(self.engines))
-        if self.variable not in _VARIABLES:
+        if self.variable not in _SWEPT_FIELDS:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
         if not (math.isfinite(self.start) and math.isfinite(self.stop)):
             raise ConfigError("sweep window must be finite")
@@ -94,7 +93,7 @@ class SweepSpec:
             raise ConfigError("duplicate engines in sweep spec")
         if ENGINE_SEMICLASSICAL in self.engines and self.variable != VAR_TWO_PHOTON:
             raise ConfigError("the semiclassical engine only sweeps the two-photon detuning")
-        if self.level_scheme not in _SCHEMES:
+        if self.level_scheme not in _BUILDERS:
             raise ConfigError(f"unknown level scheme {self.level_scheme!r}")
 
 
@@ -126,20 +125,17 @@ def _point_label(spec: SweepSpec, value: float) -> str:
 
 @contextlib.contextmanager
 def _naming(label: str):
-    """Prefix ``label`` to a solver error raised inside; its type and attributes stay."""
+    """Prefix ``label`` to the message of a solver error raised inside, and re-raise it."""
     try:
         yield
-    except CapacityError as exc:
-        raise CapacityError(f"{label}: {exc}") from exc
-    except DegenerateSteadyStateError as exc:
-        raise DegenerateSteadyStateError(f"{label}: {exc}", exc.condition_estimate) from exc
-    except SteadyStateConvergenceError as exc:
-        raise SteadyStateConvergenceError(f"{label}: {exc}", exc.solution) from exc
+    except (CapacityError, DegenerateSteadyStateError, SteadyStateConvergenceError) as exc:
+        exc.args = (f"{label}: {exc}",)
+        raise
 
 
 def _sweep_system(spec: SweepSpec, eta: float, first: float) -> ParametricSteadyState:
     """The model at a zero sweep value and its generator, assembled once."""
-    field = "delta" if spec.variable == VAR_TWO_PHOTON else "delta_p_cav"
+    field = _SWEPT_FIELDS[spec.variable]
     params = replace(spec.base_params, **{field: 0.0})
     with _naming(_point_label(spec, first)):
         model = _BUILDERS[spec.level_scheme](params, drive_eta=eta)
@@ -242,7 +238,8 @@ def _refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, float]:
 def find_extrema(records: list[SpectrumRecord], *, allow_edge: bool = False) -> ExtremaResult:
     """Locate the dominant transmission maximum and minimum of one engine.
 
-    Grid extrema are refined parabolically; an extremum on the window edge
+    The sweep values must form a uniform grid (ValueError otherwise).  Grid
+    extrema are refined parabolically; an extremum on the window edge
     raises EdgeExtremumError unless ``allow_edge`` accepts the raw grid
     point (a plain resonance line has no interior minimum, for instance).
     """
@@ -254,6 +251,11 @@ def find_extrema(records: list[SpectrumRecord], *, allow_edge: bool = False) -> 
     ordered = sorted(records, key=lambda r: r.sweep_value)
     x = np.array([r.sweep_value for r in ordered])
     y = np.array([r.transmission_rel for r in ordered])
+    # the refinement's parabola takes one grid step; a written grid carries 12
+    # significant digits, so its steps agree to ~1e-11 of its largest value
+    steps = np.diff(x)
+    if not steps.min() > 0.0 or np.ptp(steps) > 1e-10 * np.abs(x).max():
+        raise ValueError("extrema search needs a uniform sweep grid")
 
     def locate(idx: int) -> tuple[float, float]:
         if idx in (0, len(x) - 1):
@@ -299,9 +301,9 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     delta_p is nonzero) and 1.5 MHz, each once and in that order.  Flags
     non-convergence when the change between the two largest truncations
     exceeds ``TRUNCATION_THRESHOLD`` at any detuning, and names the n_max
-    and detuning of a solve that fails.  With a zero probe drive the raw
-    photon number (identically zero) is tabulated instead of the undefined
-    transmission ratio.
+    and detuning of a solve that fails.  With a probe drive below the probe
+    threshold of :func:`~cavity_eit.model.empty_cavity_photons` the raw photon
+    number is tabulated instead of the undefined transmission ratio.
     """
     n_max_list = [int(n) for n in n_max_list]
     if len(n_max_list) < 2:
@@ -311,6 +313,10 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     abs_peak = params.omega_con**2 / (4.0 * params.delta_p) if params.delta_p else None
     # dict.fromkeys drops a repeat (omega_con = 0 puts the peak at 0) and keeps the order.
     deltas_mhz = list(dict.fromkeys([0.0, 1.5] if abs_peak is None else [0.0, abs_peak, 1.5]))
+    try:
+        t0 = empty_cavity_photons(params)
+    except ConfigError:
+        t0 = None
 
     # every truncation's capacity, from dimensions alone, before the first
     # solve; named as the first point it would stop
@@ -325,7 +331,7 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
                 model = build_model(replace(params, n_max=n_max, delta=delta))
                 solution = steady_state(model)
             photons, coherent = _readout(solution, cavity_operators(model.space))
-            trans = coherent / params.n_p if params.n_p > 0 else photons
+            trans = photons if t0 is None else coherent / t0
             rows.append(TruncationRow(n_max, delta, trans, photons))
 
     transmission = {(row.n_max, row.delta_mhz): row.transmission_rel for row in rows}

@@ -16,7 +16,12 @@ from hypothesis import strategies as st
 import cavity_eit
 from cavity_eit import ConfigError, NearDegeneracyWarning, RunConfig, cli
 from cavity_eit.cli import main
-from cavity_eit.sweep import ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL, SpectrumRecord
+from cavity_eit.sweep import (
+    ENGINE_MASTER_EQUATION,
+    ENGINE_SEMICLASSICAL,
+    SpectrumRecord,
+    find_extrema,
+)
 
 SMALL_CONFIG = """
 # compact sweep for fast end-to-end runs
@@ -200,6 +205,31 @@ def test_analyze_reports_extrema(tmp_path, small_config, capsys):
     assert me["T_min"] < me["T_max"]
 
 
+def test_analyze_reads_a_far_offset_grid(tmp_path):
+    # steps of 0.07/240 MHz at 1000 MHz, written with 12 significant digits
+    # (to 1e-8 MHz), still read as a uniform grid
+    out = tmp_path / "far.csv"
+    assert main(["cavity-scan", "--atoms", "0", "--start", "1000", "--stop", "1000.07",
+                 "--points", "241", "--out", str(out), "--deterministic"]) == 0
+    _, records = cli._read_spectrum_csv(str(out))
+    assert find_extrema(records, allow_edge=True).delta_max == 1000.0
+
+
+def test_analyze_rejects_a_repeated_sweep_value(tmp_path, small_config, capsys):
+    out = tmp_path / "sweep.csv"
+    assert main(["eit-sweep", "--config", small_config, "--out", str(out),
+                 "--deterministic"]) == 0
+    lines = out.read_text(encoding="utf-8").splitlines(keepends=True)
+    out.write_text("".join(lines + lines[10:11]), encoding="utf-8")
+    assert main(["analyze", "--in", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert _strict_json(captured.err) == {
+        "error": "ConfigError",
+        "message": f"{out}: engine 'me': extrema search needs a uniform sweep grid",
+    }
+
+
 def test_analyze_rejects_garbage(tmp_path, capsys):
     bad = tmp_path / "bad.csv"
     bad.write_text("x,y\n1,2\n", encoding="utf-8")
@@ -238,6 +268,37 @@ def test_converge_rejects_bad_list(tmp_path, capsys):
     out = tmp_path / "x.csv"
     assert main(["converge", "--nmax-list", "2,two", "--out", str(out)]) == 2
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["cavity-scan", "--atoms", "5", "--out", "{out}"],
+        ["cavity-scan", "--points", "abc", "--out", "{out}"],
+        ["converge", "--nmax-list", "-1,1", "--out", "{out}"],
+        ["eit-sweep", "--deterministic"],
+        [],
+    ],
+    ids=["atoms-5", "points-abc", "nmax-list-negative", "missing-out", "no-subcommand"],
+)
+def test_bad_arguments_exit_with_error_record(tmp_path, argv):
+    out = tmp_path / "o.csv"
+    status, stdout, stderr = _run_cli([arg.format(out=out) for arg in argv])
+    assert status == 2
+    assert stdout == ""
+    (line,) = stderr.splitlines()
+    record = _strict_json(line)
+    assert set(record) == {"error", "message"}
+    assert record["error"] == "ConfigError"
+    assert not out.exists()
+
+
+def test_help_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exited:
+        main(["converge", "--help"])
+    assert exited.value.code == 0
+    captured = capsys.readouterr()
+    assert "--nmax-list" in captured.out and captured.err == ""
 
 
 def test_deterministic_runs_are_byte_identical(tmp_path, small_config):

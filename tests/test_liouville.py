@@ -37,7 +37,7 @@ from cavity_eit import (
 )
 from cavity_eit import liouville
 from cavity_eit.liouville import ParametricSteadyState, _apply_factory, unvectorize, vectorize
-from cavity_eit.model import scan_operator
+from cavity_eit.model import model_space, scan_operator
 from cavity_eit.sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP
 
 TWO_PI = 2.0 * math.pi
@@ -314,10 +314,16 @@ def test_superoperator_qubit_decay_spectrum():
 
 
 def test_superoperator_capacity_cap():
-    # one subsystem of dimension 142: vectorized size 20164 > SUPEROP_DIM_CAP
+    # one subsystem of dimension 142: vectorized size 20164 > SUPEROP_DIM_CAP.
+    # A hand-built model and the preflight on dimensions alone (the empty
+    # cavity at n_max = 141) word the cap alike.
     model, _ = _driven_cavity(0.1, 1.0, 0.0, n_max=141)
-    with pytest.raises(CapacityError):
+    with pytest.raises(CapacityError) as built:
         build_superoperator(model)
+    with pytest.raises(CapacityError) as preflight:
+        model_space(PhysicsParams(n_atoms=0, n_max=141))
+    assert str(built.value) == str(preflight.value)
+    assert "20164" in str(built.value)
 
 
 def test_steady_state_annihilates():

@@ -277,8 +277,8 @@ def test_sweep_names_a_singular_point_inside_a_block(monkeypatch):
     assert caught.value.condition_estimate == math.inf
 
 
-def _lorentzian_records(center=0.2, width=0.3, n=41):
-    grid = np.linspace(-1.0, 1.0, n)
+def _lorentzian_records(center=0.2, width=0.3, n=41, grid=None):
+    grid = np.linspace(-1.0, 1.0, n) if grid is None else grid
     return [
         SpectrumRecord(
             sweep_value=float(x),
@@ -316,6 +316,32 @@ def test_find_extrema_input_validation():
         find_extrema(mixed)
 
 
+def test_find_extrema_rejects_a_non_uniform_grid():
+    # the refinement's parabola takes one step for both neighbours, which
+    # three extra points or a repeated sweep value would silently break
+    uniform = np.linspace(-1.0, 1.0, 41)
+    find_extrema(_lorentzian_records(grid=uniform), allow_edge=True)
+    extra = np.sort(np.concatenate([uniform, [0.16, 0.21, 0.26]]))
+    with pytest.raises(ValueError, match="uniform sweep grid"):
+        find_extrema(_lorentzian_records(grid=extra), allow_edge=True)
+    repeated = np.sort(np.concatenate([uniform, uniform[20:21]]))
+    with pytest.raises(ValueError, match="uniform sweep grid"):
+        find_extrema(_lorentzian_records(grid=repeated), allow_edge=True)
+
+
+@pytest.mark.parametrize(
+    "start, stop, n",
+    [(1000.0, 1000.06, 241), (1000.0, 1000.07, 241), (-0.9, 1.7, 261), (-3.0, 3.0, 243),
+     (-2e6, -1e6, 997), (1e-9, 3e-9, 7), (-1e3, 1e9, 7)],
+)
+def test_find_extrema_accepts_written_grids(start, stop, n):
+    # a CSV carries 12 significant digits: read back, a uniform grid is
+    # uniform to ~1e-11 of its largest value
+    grid = np.array([float(format(x, ".12g")) for x in np.linspace(start, stop, n)])
+    records = _lorentzian_records(grid[n // 2], (stop - start) / 4.0, grid=grid)
+    assert find_extrema(records, allow_edge=True).delta_max == pytest.approx(grid[n // 2])
+
+
 def test_grid_refinement_stability():
     params = replace(WORKING_POINT, light_shift=0.0)
     coarse_spec = SweepSpec(VAR_TWO_PHOTON, -0.9, 1.7, 131, params, engines=(ENGINE_SEMICLASSICAL,))
@@ -347,6 +373,18 @@ def test_convergence_study_vacuum_identical():
         assert row.transmission_rel == pytest.approx(0.0, abs=1e-12)
 
 
+def test_convergence_study_below_probe_threshold_tabulates_photons():
+    # 1e-16 probe photons is below empty_cavity_photons' threshold, which
+    # run_sweep rejects: T/T0 is undefined, so the raw photon number stands in
+    params = replace(WORKING_POINT, n_p=1e-16)
+    with pytest.raises(ConfigError):
+        run_sweep(SweepSpec(VAR_TWO_PHOTON, 0.0, 0.1, 2, params))
+    study = convergence_study(params, [1, 2])
+    assert study.rows
+    for row in study.rows:
+        assert row.transmission_rel == row.photon_number
+
+
 def test_convergence_study_validation():
     with pytest.raises(ConfigError):
         convergence_study(WORKING_POINT, [2])
@@ -363,22 +401,44 @@ def test_convergence_study_checks_every_capacity_before_solving(monkeypatch):
         convergence_study(replace(WORKING_POINT, n_atoms=2), [2, 1000])
 
 
-def test_convergence_study_names_a_degenerate_point():
+def _record_solver_errors(monkeypatch):
+    """Route ``sweep.steady_state`` through a wrapper that records each error
+    it raises, with its message, before the error leaves the solver."""
+    raised = []
+
+    def recording(model):
+        try:
+            return steady_state(model)
+        except (DegenerateSteadyStateError, SteadyStateConvergenceError) as exc:
+            raised.append((exc, str(exc)))
+            raise
+
+    monkeypatch.setattr(sweep, "steady_state", recording)
+    return raised
+
+
+def test_convergence_study_names_a_degenerate_point(monkeypatch):
     # no coupling and no control field leave several steady states; the
-    # named error keeps the condition estimate of the original
+    # labelled error is the solver's own, with its type and condition estimate
+    raised = _record_solver_errors(monkeypatch)
     params = replace(WORKING_POINT, g=0.0, omega_con=0.0)
-    with pytest.raises(DegenerateSteadyStateError,
-                       match=r"^n_max = 1, delta = 0\.0 MHz: ") as caught:
+    with pytest.raises(DegenerateSteadyStateError) as caught:
         convergence_study(params, [1, 2])
-    assert caught.value.condition_estimate == caught.value.__cause__.condition_estimate > 1e14
+    ((original, message),) = raised
+    assert caught.value is original and type(original) is DegenerateSteadyStateError
+    assert str(caught.value) == f"n_max = 1, delta = 0.0 MHz: {message}"
+    assert caught.value.condition_estimate > 1e14
 
 
 def test_convergence_study_names_a_residual_miss(monkeypatch):
-    # a zero tolerance is missed by every nonzero residual; the named error
-    # keeps the solution of the original
+    # a zero tolerance is missed by every nonzero residual; the labelled
+    # error is the solver's own, with its type and solution
+    raised = _record_solver_errors(monkeypatch)
     monkeypatch.setattr(liouville, "DEFAULT_TOL", 0.0)
-    with pytest.raises(SteadyStateConvergenceError,
-                       match=r"^n_max = 1, delta = 0\.0 MHz: steady-state residual ") as caught:
+    with pytest.raises(SteadyStateConvergenceError) as caught:
         convergence_study(WORKING_POINT, [1, 2])
-    assert caught.value.solution is caught.value.__cause__.solution
+    ((original, message),) = raised
+    assert caught.value is original and type(original) is SteadyStateConvergenceError
+    assert message.startswith("steady-state residual ")
+    assert str(caught.value) == f"n_max = 1, delta = 0.0 MHz: {message}"
     assert not caught.value.solution.converged
