@@ -193,13 +193,11 @@ def _apply_factory(model: LindbladModel):
         if rho.ndim == 2:
             half = k @ rho
             return half + half.conj().T + (jumps @ rho.reshape(-1)).reshape(dim, dim)
-        # a stack (dim, points, dim), point p at rho[:, p, :], the same sums
-        # entry by entry: one K product over every point's columns and one J
-        # product over every point's flat state.  The one-matrix case (the
-        # RK4 step) skips this reshaping, which cost the two-atom leg 4 %.
-        half = (k @ rho.reshape(dim, -1)).reshape(rho.shape)
-        jump = (jumps @ rho.swapaxes(1, 2).reshape(size, -1)).reshape(dim, dim, -1)
-        return half + half.conj().transpose(2, 1, 0) + jump.swapaxes(1, 2)
+        points = len(rho)
+        half = k @ rho.transpose(1, 0, 2).reshape(dim, -1)
+        half = half.reshape(dim, points, dim).transpose(1, 0, 2)
+        jump = jumps @ np.ascontiguousarray(rho.reshape(points, size).T)
+        return half + half.conj().transpose(0, 2, 1) + jump.T.reshape(rho.shape)
 
     return apply
 
@@ -217,9 +215,9 @@ def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
     dim = model.space.total_dim
     if mat.shape != (dim, dim):
         raise ValueError(f"state shape {mat.shape} does not match dimension {dim}")
-    apply = _apply_factory(model)
     adjoint = mat.conj().T
-    return apply(0.5 * (mat + adjoint)) + 1j * apply(-0.5j * (mat - adjoint))
+    images = _apply_factory(model)(np.stack([0.5 * (mat + adjoint), -0.5j * (mat - adjoint)]))
+    return images[0] + 1j * images[1]
 
 
 def check_capacity(space: HilbertSpace) -> None:
@@ -425,18 +423,18 @@ class ParametricSteadyState:
         ValueError of its check.
         """
         dim = self.model.space.total_dim
-        # stacked[i, p, j] = vecs[p, i + j*dim], the column-stacked rho_p[i, j]
-        stacked = vecs.reshape(-1, dim, dim).transpose(2, 0, 1)
-        rho = 0.5 * (stacked + stacked.conj().transpose(2, 1, 0))
+        # stacked[p, i, j] = vecs[p, i + j*dim], the column-stacked rho_p[i, j]
+        stacked = vecs.reshape(-1, dim, dim).transpose(0, 2, 1)
+        rho = 0.5 * (stacked + stacked.conj().transpose(0, 2, 1))
         # each point's own trace: a contiguous diagonal sums each point's
         # entries in the order np.trace sums one matrix
-        traces = np.ascontiguousarray(rho.diagonal(axis1=0, axis2=2)).sum(axis=1).real
-        rho = rho / traces[:, None]
+        traces = np.ascontiguousarray(rho.diagonal(axis1=1, axis2=2)).sum(axis=1).real
+        rho = rho / traces[:, None, None]
         # L_v(rho) = L_0(rho) - i[vG, rho]
-        shift = 1j * np.array(values)[:, None] * self._commutator[:, None, :]
+        shift = 1j * np.array(values)[:, None, None] * self._commutator
         image = self._apply(rho) - shift * rho
-        states = DensityMatrix.each(self.model.space, rho.transpose(1, 0, 2))
-        return states, np.abs(image).max(axis=(0, 2))
+        states = DensityMatrix.each(self.model.space, rho)
+        return states, np.abs(image).max(axis=(1, 2))
 
     def _solution(
         self, state: DensityMatrix | ValueError, residual: float, finite: bool, cond: float,
@@ -581,19 +579,33 @@ def _rk4_step(apply, rho: np.ndarray, h: float) -> np.ndarray:
 
 
 def _hermitian_coordinates(rho: np.ndarray, upper) -> np.ndarray:
-    """Real coordinates of Hermitian rho: its diagonal, then the real and
-    imaginary parts of its strict upper triangle ``upper``."""
-    return np.concatenate([rho.diagonal().real, rho[upper].real, rho[upper].imag])
+    """Real coordinates of each Hermitian matrix of a stack (points, dim,
+    dim), one row per matrix: its diagonal, then the real and imaginary
+    parts of its strict upper triangle ``upper``."""
+    triangle = rho[:, upper[0], upper[1]]
+    return np.concatenate(
+        [rho.diagonal(axis1=1, axis2=2).real, triangle.real, triangle.imag], axis=1
+    )
 
 
 def _hermitian_matrix(coords: np.ndarray, upper, dim: int) -> np.ndarray:
     """Inverse of :func:`_hermitian_coordinates`."""
     pairs = len(upper[0])
-    rho = np.zeros((dim, dim), dtype=complex)
-    rho[upper] = coords[dim:dim + pairs] + 1j * coords[dim + pairs:]
-    rho = rho + rho.conj().T
-    rho[np.diag_indices(dim)] = coords[:dim]
+    rho = np.zeros((len(coords), dim, dim), dtype=complex)
+    rho[:, upper[0], upper[1]] = coords[:, dim:dim + pairs] + 1j * coords[:, dim + pairs:]
+    rho = rho + rho.conj().transpose(0, 2, 1)
+    diagonal = np.arange(dim)
+    rho[:, diagonal, diagonal] = coords[:, :dim]
     return rho
+
+
+def _rk4_table(apply, upper, dim: int, h: float) -> np.ndarray:
+    """:func:`_rk4_step` as a real matrix on the Hermitian coordinates, from
+    one step of the stack of every Hermitian basis matrix: column b is the
+    image of basis matrix b.  C-contiguous, so ``table.dot`` runs the BLAS
+    kernel a column-built table runs."""
+    basis = _hermitian_matrix(np.identity(dim * dim), upper, dim)
+    return np.ascontiguousarray(_hermitian_coordinates(_rk4_step(apply, basis, h), upper).T)
 
 
 def _run_steps(advance, trace_of, state, steps: int, step: float):
@@ -647,28 +659,23 @@ def evolve(
     step = t_final / steps
     apply = _apply_factory(model)
     dim = model.space.total_dim
-    rho = np.array(rho0.matrix, dtype=complex)
+    rho = np.array(rho0.matrix[None], dtype=complex)
     if dim * dim <= _TABULATE_MAX_SIZE:
         upper = np.triu_indices(dim, 1)
-        table = np.column_stack([
-            _hermitian_coordinates(
-                _rk4_step(apply, _hermitian_matrix(unit, upper, dim), step), upper
-            )
-            for unit in np.identity(dim * dim)
-        ])
+        table = _rk4_table(apply, upper, dim, step)
         coords = _run_steps(
-            table.dot, lambda x: x[:dim].sum(), _hermitian_coordinates(rho, upper),
+            table.dot, lambda x: x[:dim].sum(), _hermitian_coordinates(rho, upper)[0],
             steps, step,
         )
-        rho = _hermitian_matrix(coords, upper, dim)
+        rho = _hermitian_matrix(coords[None], upper, dim)
     else:
         def advance(rho):
             rho = _rk4_step(apply, rho, step)
-            return 0.5 * (rho + rho.conj().T)
+            return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
 
-        rho = _run_steps(advance, lambda rho: np.trace(rho).real, rho, steps, step)
+        rho = _run_steps(advance, lambda rho: np.trace(rho[0]).real, rho, steps, step)
     try:
-        return DensityMatrix(model.space, rho)
+        return DensityMatrix(model.space, rho[0])
     except ValueError as exc:
         # the step, not the initial state, is at fault
         raise IntegrationInstabilityError(

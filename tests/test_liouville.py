@@ -233,17 +233,49 @@ def test_held_apply_matches_reference_loop_on_hermitian_property(model, seed):
     ids=["random", "one-atom", "two-atoms"],
 )
 def test_held_apply_of_a_stack_is_the_apply_of_each_matrix(make):
-    # the steady-state residual applies the closure to a stack (dim, points,
+    # the steady-state residual applies the closure to a stack (points, dim,
     # dim) at once; every point must get the bits of its own application
     model = make()
     rng = np.random.default_rng(11)
     dim = model.space.total_dim
-    raw = rng.normal(size=(dim, 3, dim)) + 1j * rng.normal(size=(dim, 3, dim))
-    stack = raw + raw.conj().transpose(2, 1, 0)
+    raw = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    stack = raw + raw.conj().transpose(0, 2, 1)
     apply = _apply_factory(model)
     images = apply(stack)
     for p in range(3):
-        assert np.array_equal(images[:, p, :], apply(np.ascontiguousarray(stack[:, p, :])))
+        assert np.array_equal(images[p], apply(stack[p:p + 1])[0])
+
+
+@pytest.mark.parametrize(
+    "make",
+    [lambda: _random_model(np.random.default_rng(4), (2, 3), 3),
+     lambda: build_model(replace(PhysicsParams(), n_max=1)),
+     lambda: build_model(replace(PhysicsParams(), n_atoms=2, n_max=1))],
+    ids=["random", "one-atom", "two-atoms"],
+)
+def test_stacked_apply_and_rk4_table_are_the_one_matrix_bits(make):
+    # the closure takes one stack layout, and evolve tabulates its RK4 step
+    # from one step of the stack of every Hermitian basis matrix; both give
+    # the bits of one matrix at a time
+    model = make()
+    dim = model.space.total_dim
+    apply = _apply_factory(model)
+    raw = _random_matrix(np.random.default_rng(12), dim)
+    rho = 0.5 * (raw + raw.conj().T)
+    assert np.array_equal(apply(rho[None])[0], apply(rho))
+    step = stable_timestep(model)
+    stepped = liouville._rk4_step(apply, rho[None], step)[0]
+    assert np.array_equal(stepped, liouville._rk4_step(apply, rho, step))
+    if dim * dim > liouville._TABULATE_MAX_SIZE:
+        return
+    upper = np.triu_indices(dim, 1)
+    reference = np.column_stack([
+        liouville._hermitian_coordinates(liouville._rk4_step(apply, unit, step)[None], upper)[0]
+        for unit in liouville._hermitian_matrix(np.identity(dim * dim), upper, dim)
+    ])
+    table = liouville._rk4_table(apply, upper, dim, step)
+    assert table.flags.c_contiguous
+    assert np.array_equal(table, reference)
 
 
 @pytest.mark.parametrize("dims, n_collapse", [((2,), 1), ((2, 3), 2), ((3, 4), 3), ((2, 2, 3), 4)])
