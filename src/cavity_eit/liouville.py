@@ -17,14 +17,16 @@ once.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model from
-entrywise products, for Hermitian rho: a sparse K = -iH_eff for
+entrywise products, for a stack (points, dim, dim) of Hermitian states, the
+layout :meth:`DensityMatrix.each` checks: a sparse K = -iH_eff for
 K rho + (K rho)^+ and one sparse matrix on the row-major flat state for the
 jump sum.  It never touches the vectorized generator, so the steady-state
 residual and the explicit RK4 integrator, which use only that closure on
 Hermitian states, serve as independent cross-checks of the vectorized
 solver.  For small models the integrator tabulates its fixed RK4 step once,
-from that closure alone, as a real matrix on the Hermitian coordinates of
-rho (see :func:`evolve`).
+from one step of that closure on the stack of every Hermitian basis
+matrix, as a real matrix on the Hermitian coordinates of rho (see
+:func:`evolve`).
 """
 
 from __future__ import annotations
@@ -160,16 +162,17 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
 
 
 def _apply_factory(model: LindbladModel):
-    """Closure evaluating L(rho) for Hermitian rho (no vectorized generator).
+    """Closure evaluating L(rho) for each Hermitian rho of a stack (points,
+    dim, dim), the layout :meth:`DensityMatrix.each` checks (no vectorized
+    generator).
 
     L(rho) = K rho + (K rho)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
-    as one CSR matrix, so one product over dim columns, or over the columns
-    of every matrix of a stack (dim, points, dim) at once.  The jump sum
-    J(rho) = sum_c c rho c^+ is one CSR product J on the row-major flat
-    state, built from the pairs (p, q) of nonzero entries of the same
-    collapse operator, J[r_p dim + r_q, s_p dim + s_q] += v_p conj(v_q), with
-    duplicate pairs summed on conversion; the pair table has sum_c nnz(c)^2
-    entries.  The (K rho)^+ term equals rho K^+ only for Hermitian rho;
+    as one CSR matrix, so one product over the columns of every matrix of
+    the stack at once.  The jump sum J(rho) = sum_c c rho c^+ is one CSR
+    product J on every point's row-major flat state at once, built from the
+    pairs (p, q) of nonzero entries of the same collapse operator,
+    J[r_p dim + r_q, s_p dim + s_q] += v_p conj(v_q), with duplicate pairs
+    summed on conversion; the pair table has sum_c nnz(c)^2 entries.  The (K rho)^+ term equals rho K^+ only for Hermitian rho;
     :func:`liouvillian_apply` extends the closure to any rho.
     """
     dim = model.space.total_dim
@@ -190,9 +193,6 @@ def _apply_factory(model: LindbladModel):
     jumps = sp.csr_array((weights, (targets, sources)), shape=(size, size))
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        if rho.ndim == 2:
-            half = k @ rho
-            return half + half.conj().T + (jumps @ rho.reshape(-1)).reshape(dim, dim)
         points = len(rho)
         half = k @ rho.transpose(1, 0, 2).reshape(dim, -1)
         half = half.reshape(dim, points, dim).transpose(1, 0, 2)
@@ -206,8 +206,9 @@ def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
     """L(rho) = -i[H, rho] + sum_c (c rho c^+ - (c^+c rho + rho c^+c)/2).
 
     Any rho: it splits rho = A + iB into the Hermitian A = (rho + rho^+)/2
-    and B = (rho - rho^+)/(2i) and returns L(A) + iL(B) from the Hermitian
-    closure of :func:`_apply_factory`, by linearity.  A one-shot call: it
+    and B = (rho - rho^+)/(2i) and returns L(A) + iL(B), by linearity, from
+    one call of the Hermitian closure of :func:`_apply_factory` on the
+    two-point stack (A, B).  A one-shot call: it
     builds that closure each time, so repeated applications of one model
     should hold it.
     """
@@ -634,9 +635,9 @@ def evolve(
     L is linear and time-independent, so a step, :func:`_rk4_step` on the
     closure of :func:`_apply_factory`, is one fixed real-linear map of the
     Hermitian coordinates of rho.  Up to Liouville size
-    ``_TABULATE_MAX_SIZE`` that map is tabulated once, one column per
-    Hermitian basis matrix, and every step is one real matrix-vector
-    product; above it each step runs the closure and is re-Hermitized.
+    ``_TABULATE_MAX_SIZE`` that map is tabulated once by :func:`_rk4_table`,
+    and every step is one real matrix-vector product; above it each step
+    runs the closure on a one-point stack and is re-Hermitized.
     The state is trace-renormalized after every step; a per-step trace drift
     beyond 1e-6 (or a non-finite state) aborts with an instability error
     suggesting a smaller step, and so does a final state that fails the
