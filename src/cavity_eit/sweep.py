@@ -61,6 +61,13 @@ DEFAULT_SWEEP_POINTS = 261
 # ``convergence_study`` still calls converged.
 TRUNCATION_THRESHOLD = 0.01
 
+# Share of a grid's largest |value| by which its steps may differ and still
+# count as uniform (``find_extrema``), and below which no sweep may step
+# (``SweepSpec``).  A written value carries 12 significant digits, so it is
+# off by at most 5e-12 of that largest value: a grid stepping at least this
+# share is read back strictly rising and uniform to this share.
+GRID_TOL = 1e-10
+
 
 @dataclass(frozen=True)
 class SweepSpec:
@@ -84,6 +91,12 @@ class SweepSpec:
             raise ConfigError("sweep window needs start < stop")
         if self.n_points < 2:
             raise ConfigError("a sweep needs at least 2 points")
+        step = (self.stop - self.start) / (self.n_points - 1)
+        if step < GRID_TOL * max(abs(self.start), abs(self.stop)):
+            raise ConfigError(
+                f"sweep step {step:.3e} MHz is below {GRID_TOL:g} of the window's largest "
+                "|value|, finer than the 12 significant digits a grid is written with"
+            )
         if not self.engines:
             raise ConfigError("at least one engine is required")
         for engine in self.engines:
@@ -251,10 +264,9 @@ def find_extrema(records: list[SpectrumRecord], *, allow_edge: bool = False) -> 
     ordered = sorted(records, key=lambda r: r.sweep_value)
     x = np.array([r.sweep_value for r in ordered])
     y = np.array([r.transmission_rel for r in ordered])
-    # the refinement's parabola takes one grid step; a written grid carries 12
-    # significant digits, so its steps agree to ~1e-11 of its largest value
+    # the refinement's parabola takes one grid step
     steps = np.diff(x)
-    if not steps.min() > 0.0 or np.ptp(steps) > 1e-10 * np.abs(x).max():
+    if not steps.min() > 0.0 or np.ptp(steps) > GRID_TOL * np.abs(x).max():
         raise ValueError("extrema search needs a uniform sweep grid")
 
     def locate(idx: int) -> tuple[float, float]:

@@ -278,8 +278,12 @@ def test_converge_rejects_bad_list(tmp_path, capsys):
         ["converge", "--nmax-list", "-1,1", "--out", "{out}"],
         ["eit-sweep", "--deterministic"],
         [],
+        # a 4e-9 MHz step at 1000 MHz is finer than the 12 digits written
+        ["cavity-scan", "--atoms", "0", "--start", "1000", "--stop", "1000.000001",
+         "--points", "241", "--deterministic", "--out", "{out}"],
     ],
-    ids=["atoms-5", "points-abc", "nmax-list-negative", "missing-out", "no-subcommand"],
+    ids=["atoms-5", "points-abc", "nmax-list-negative", "missing-out", "no-subcommand",
+         "grid-finer-than-written"],
 )
 def test_bad_arguments_exit_with_error_record(tmp_path, argv):
     out = tmp_path / "o.csv"
@@ -412,13 +416,15 @@ def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsy
 
 
 def test_out_of_memory_exits_with_error_record(tmp_path, capsys, monkeypatch):
-    # a grid too large to allocate: exit 2 with one record, not a traceback
+    # a grid too large to allocate: exit 2 with one record, not a traceback;
+    # 1e10 points over the default 6 MHz window step 6e-10 MHz, coarse
+    # enough for the written digits, so the spec accepts them
     def exhausted(spec, **kwargs):
-        raise MemoryError("Unable to allocate 745. GiB for an array")
+        raise MemoryError("Unable to allocate 74.5 GiB for an array")
 
     monkeypatch.setattr(cli, "run_sweep", exhausted)
     out = tmp_path / "x.csv"
-    assert main(["cavity-scan", "--points", "100000000000", "--out", str(out)]) == 2
+    assert main(["cavity-scan", "--points", "10000000000", "--out", str(out)]) == 2
     lines = capsys.readouterr().err.splitlines()
     assert len(lines) == 1
     record = json.loads(lines[0])

@@ -54,6 +54,9 @@ def test_spec_validation():
         SweepSpec(**{**good, "level_scheme": "seven"})
     with pytest.raises(ConfigError):
         SweepSpec(**{**good, "variable": VAR_PROBE_CAVITY, "engines": ("sc",)})
+    # a step below 1e-10 of the largest |value| is finer than the written grid
+    with pytest.raises(ConfigError, match="12 significant digits"):
+        SweepSpec(**{**good, "start": 1000.0, "stop": 1000.000001, "n_points": 241})
 
 
 def test_empty_cavity_scan_is_resonance_line():
@@ -337,6 +340,7 @@ def test_find_extrema_rejects_a_non_uniform_grid():
 def test_find_extrema_accepts_written_grids(start, stop, n):
     # a CSV carries 12 significant digits: read back, a uniform grid is
     # uniform to ~1e-11 of its largest value
+    SweepSpec(VAR_PROBE_CAVITY, start, stop, n, WORKING_POINT)
     grid = np.array([float(format(x, ".12g")) for x in np.linspace(start, stop, n)])
     records = _lorentzian_records(grid[n // 2], (stop - start) / 4.0, grid=grid)
     assert find_extrema(records, allow_edge=True).delta_max == pytest.approx(grid[n // 2])
