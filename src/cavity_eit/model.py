@@ -135,16 +135,18 @@ def _level_scheme(params: PhysicsParams, scheme: str):
             _ExcitedLevel(4, params.omega_f, params.r_f, 0.0, 0.0, params.b_f_g2),
         )
         return 5, 0, 1, excited
+    if scheme not in ("three", "two"):
+        raise ValueError(f"unknown level scheme {scheme!r}")
+    if params.n_atoms != 1:
+        raise ConfigError(f"the {scheme}-level restriction is defined for one atom")
     if scheme == "three":
         excited = (
             _ExcitedLevel(2, 0.0, params.r_e, params.c_e, params.b_e_g1, params.b_e_g2),
         )
         return 3, 0, 1, excited
-    if scheme == "two":
-        # Closed g2 <-> e cycle: the full dipole decay returns to g2.
-        excited = (_ExcitedLevel(1, 0.0, params.r_e, 0.0, 0.0, 1.0),)
-        return 2, None, 0, excited
-    raise ValueError(f"unknown level scheme {scheme!r}")
+    # Closed g2 <-> e cycle: the full dipole decay returns to g2.
+    excited = (_ExcitedLevel(1, 0.0, params.r_e, 0.0, 0.0, 1.0),)
+    return 2, None, 0, excited
 
 
 def drive_amplitude(params: PhysicsParams) -> float:
@@ -262,8 +264,6 @@ def three_level_model(params: PhysicsParams, *, drive_eta: float | None = None) 
     Same construction as the full model with the d/f couplings removed; used
     for comparison against the closed-form three-level response.
     """
-    if params.n_atoms != 1:
-        raise ConfigError("the three-level restriction is defined for one atom")
     return _build(params, "three", drive_eta)
 
 
@@ -275,8 +275,6 @@ def two_level_model(params: PhysicsParams, *, drive_eta: float | None = None) ->
     reference; a literal three-level steady state with the control off would
     instead pump the atom into the dark g1 state.
     """
-    if params.n_atoms != 1:
-        raise ConfigError("the two-level restriction is defined for one atom")
     return _build(params, "two", drive_eta)
 
 

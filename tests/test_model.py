@@ -20,7 +20,7 @@ from cavity_eit import (
     two_level_model,
     two_level_transmission,
 )
-from cavity_eit.model import scan_operator
+from cavity_eit.model import model_space, scan_operator
 
 TWO_PI = 2.0 * math.pi
 WORKING_POINT = PhysicsParams()
@@ -212,6 +212,20 @@ def test_three_level_restrictions():
         three_level_model(replace(WORKING_POINT, n_atoms=2))
     with pytest.raises(ConfigError):
         two_level_model(replace(WORKING_POINT, n_atoms=2))
+
+
+@pytest.mark.parametrize("n_atoms", [0, 2])
+@pytest.mark.parametrize("scheme", ["three", "two"])
+def test_restricted_schemes_are_one_atom_models(scheme, n_atoms):
+    # the space and scan operator of a restricted scheme reject another atom
+    # number as its builder does, with the builder's wording
+    params = replace(WORKING_POINT, n_atoms=n_atoms)
+    builder = {"three": three_level_model, "two": two_level_model}[scheme]
+    message = f"^the {scheme}-level restriction is defined for one atom$"
+    for call in (lambda: builder(params), lambda: model_space(params, scheme),
+                 lambda: scan_operator(params, "delta_p_cav", scheme)):
+        with pytest.raises(ConfigError, match=message):
+            call()
 
 
 def test_three_level_no_control_decouples_g1_in_hamiltonian():
