@@ -17,16 +17,14 @@ once.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model from
-entrywise products, for a stack (points, dim, dim) of Hermitian states, the
-layout :meth:`DensityMatrix.each` checks: a sparse K = -iH_eff for
-K rho + (K rho)^+ and one sparse matrix on the row-major flat state for the
-jump sum.  It never touches the vectorized generator, so the steady-state
-residual and the explicit RK4 integrator, which use only that closure on
-Hermitian states, serve as independent cross-checks of the vectorized
-solver.  For small models the integrator tabulates its fixed RK4 step once,
-from one step of that closure on the stack of every Hermitian basis
-matrix, as a real matrix on the Hermitian coordinates of rho (see
-:func:`evolve`).
+entrywise products, for a stack (points, dim, dim) of Hermitian states: a
+sparse K = -iH_eff for K rho + (K rho)^+ and one sparse matrix on the
+row-major flat state for the jump sum.  It never touches the vectorized
+generator, so the steady-state residual and the explicit RK4 integrator,
+which use only that closure, serve as independent cross-checks of the
+vectorized solver.  For small models the integrator tabulates its fixed
+RK4 step once, from one closure step of the stack of every Hermitian basis
+matrix, as a real matrix on the Hermitian coordinates of rho.
 """
 
 from __future__ import annotations
@@ -163,17 +161,16 @@ def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
 
 def _apply_factory(model: LindbladModel):
     """Closure evaluating L(rho) for each Hermitian rho of a stack (points,
-    dim, dim), the layout :meth:`DensityMatrix.each` checks (no vectorized
-    generator).
+    dim, dim), the layout :meth:`DensityMatrix.each` checks.
 
     L(rho) = K rho + (K rho)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
-    as one CSR matrix, so one product over the columns of every matrix of
-    the stack at once.  The jump sum J(rho) = sum_c c rho c^+ is one CSR
-    product J on every point's row-major flat state at once, built from the
-    pairs (p, q) of nonzero entries of the same collapse operator,
-    J[r_p dim + r_q, s_p dim + s_q] += v_p conj(v_q), with duplicate pairs
-    summed on conversion; the pair table has sum_c nnz(c)^2 entries.  The (K rho)^+ term equals rho K^+ only for Hermitian rho;
-    :func:`liouvillian_apply` extends the closure to any rho.
+    as one CSR matrix, so one product over the columns of every point.  The
+    jump sum J(rho) = sum_c c rho c^+ is one CSR product J on every point's
+    row-major flat state, built from the pairs (p, q) of nonzero entries of
+    the same collapse operator, J[r_p dim + r_q, s_p dim + s_q] +=
+    v_p conj(v_q), with duplicate pairs summed on conversion; the pair table
+    has sum_c nnz(c)^2 entries.  The (K rho)^+ term equals rho K^+ only for
+    Hermitian rho; :func:`liouvillian_apply` extends the closure to any rho.
     """
     dim = model.space.total_dim
     size = dim * dim
@@ -207,10 +204,9 @@ def liouvillian_apply(model: LindbladModel, rho) -> np.ndarray:
 
     Any rho: it splits rho = A + iB into the Hermitian A = (rho + rho^+)/2
     and B = (rho - rho^+)/(2i) and returns L(A) + iL(B), by linearity, from
-    one call of the Hermitian closure of :func:`_apply_factory` on the
-    two-point stack (A, B).  A one-shot call: it
-    builds that closure each time, so repeated applications of one model
-    should hold it.
+    one call of the closure of :func:`_apply_factory` on the stack (A, B).
+    A one-shot call: it builds that closure each time, so repeated
+    applications of one model should hold it.
     """
     mat = rho.matrix if isinstance(rho, DensityMatrix) else np.asarray(rho, dtype=complex)
     dim = model.space.total_dim
@@ -580,13 +576,10 @@ def _rk4_step(apply, rho: np.ndarray, h: float) -> np.ndarray:
 
 
 def _hermitian_coordinates(rho: np.ndarray, upper) -> np.ndarray:
-    """Real coordinates of each Hermitian matrix of a stack (points, dim,
-    dim), one row per matrix: its diagonal, then the real and imaginary
-    parts of its strict upper triangle ``upper``."""
+    """Real coordinates of each Hermitian matrix of a stack, a row each: its
+    diagonal, then the real and imaginary parts of its strict upper triangle ``upper``."""
     triangle = rho[:, upper[0], upper[1]]
-    return np.concatenate(
-        [rho.diagonal(axis1=1, axis2=2).real, triangle.real, triangle.imag], axis=1
-    )
+    return np.concatenate([rho.diagonal(axis1=1, axis2=2).real, triangle.real, triangle.imag], 1)
 
 
 def _hermitian_matrix(coords: np.ndarray, upper, dim: int) -> np.ndarray:
@@ -595,18 +588,8 @@ def _hermitian_matrix(coords: np.ndarray, upper, dim: int) -> np.ndarray:
     rho = np.zeros((len(coords), dim, dim), dtype=complex)
     rho[:, upper[0], upper[1]] = coords[:, dim:dim + pairs] + 1j * coords[:, dim + pairs:]
     rho = rho + rho.conj().transpose(0, 2, 1)
-    diagonal = np.arange(dim)
-    rho[:, diagonal, diagonal] = coords[:, :dim]
+    rho[:, range(dim), range(dim)] = coords[:, :dim]
     return rho
-
-
-def _rk4_table(apply, upper, dim: int, h: float) -> np.ndarray:
-    """:func:`_rk4_step` as a real matrix on the Hermitian coordinates, from
-    one step of the stack of every Hermitian basis matrix: column b is the
-    image of basis matrix b.  C-contiguous, so ``table.dot`` runs the BLAS
-    kernel a column-built table runs."""
-    basis = _hermitian_matrix(np.identity(dim * dim), upper, dim)
-    return np.ascontiguousarray(_hermitian_coordinates(_rk4_step(apply, basis, h), upper).T)
 
 
 def _run_steps(advance, trace_of, state, steps: int, step: float):
@@ -635,9 +618,10 @@ def evolve(
     L is linear and time-independent, so a step, :func:`_rk4_step` on the
     closure of :func:`_apply_factory`, is one fixed real-linear map of the
     Hermitian coordinates of rho.  Up to Liouville size
-    ``_TABULATE_MAX_SIZE`` that map is tabulated once by :func:`_rk4_table`,
-    and every step is one real matrix-vector product; above it each step
-    runs the closure on a one-point stack and is re-Hermitized.
+    ``_TABULATE_MAX_SIZE`` that map is tabulated once, from one step of the
+    stack of every Hermitian basis matrix, and every step is one real
+    matrix-vector product; above it each step runs the closure on a
+    one-point stack and is re-Hermitized.
     The state is trace-renormalized after every step; a per-step trace drift
     beyond 1e-6 (or a non-finite state) aborts with an instability error
     suggesting a smaller step, and so does a final state that fails the
@@ -663,7 +647,10 @@ def evolve(
     rho = np.array(rho0.matrix[None], dtype=complex)
     if dim * dim <= _TABULATE_MAX_SIZE:
         upper = np.triu_indices(dim, 1)
-        table = _rk4_table(apply, upper, dim, step)
+        basis = _hermitian_matrix(np.identity(dim * dim), upper, dim)
+        # column b is the image of basis matrix b, C-contiguous: the transposed
+        # layout runs another BLAS kernel in table.dot (8e-15 on the N=1 oracle)
+        table = np.ascontiguousarray(_hermitian_coordinates(_rk4_step(apply, basis, step), upper).T)
         coords = _run_steps(
             table.dot, lambda x: x[:dim].sum(), _hermitian_coordinates(rho, upper)[0],
             steps, step,

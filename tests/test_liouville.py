@@ -253,20 +253,28 @@ def test_held_apply_of_a_stack_is_the_apply_of_each_matrix(make):
      lambda: build_model(PhysicsParams())],
     ids=["random", "one-atom-nmax1", "one-atom"],
 )
-def test_stacked_rk4_table_is_the_step_of_each_basis_matrix(make):
+def test_stacked_rk4_table_is_the_step_of_each_basis_matrix(make, monkeypatch):
     # evolve tabulates its RK4 step from one step of the stack of every
     # Hermitian basis matrix; each column must get the bits of its basis
-    # matrix's own step
+    # matrix's own step, and table.dot the C-contiguous table
     model = make()
     dim = model.space.total_dim
-    apply = _apply_factory(model)
+    tables = []
+
+    def run_steps(advance, trace_of, state, steps, step):
+        tables.append(advance.__self__)
+        return state
+
+    monkeypatch.setattr(liouville, "_run_steps", run_steps)
     step = stable_timestep(model)
+    evolve(model, DensityMatrix(model.space, np.eye(dim) / dim), step)
+    (table,) = tables
+    apply = _apply_factory(model)
     upper = np.triu_indices(dim, 1)
     reference = np.column_stack([
         liouville._hermitian_coordinates(liouville._rk4_step(apply, unit[None], step), upper)[0]
         for unit in liouville._hermitian_matrix(np.identity(dim * dim), upper, dim)
     ])
-    table = liouville._rk4_table(apply, upper, dim, step)
     assert table.flags.c_contiguous
     assert np.array_equal(table, reference)
 
