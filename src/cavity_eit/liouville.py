@@ -648,8 +648,8 @@ def evolve(
     if dim * dim <= _TABULATE_MAX_SIZE:
         upper = np.triu_indices(dim, 1)
         basis = _hermitian_matrix(np.identity(dim * dim), upper, dim)
-        # column b is the image of basis matrix b, C-contiguous: the transposed
-        # layout runs another BLAS kernel in table.dot (8e-15 on the N=1 oracle)
+        # column b is the image of basis matrix b, C-contiguous: a transposed
+        # table runs another BLAS kernel in table.dot, 8e-15 off on the N=1 oracle
         table = np.ascontiguousarray(_hermitian_coordinates(_rk4_step(apply, basis, step), upper).T)
         coords = _run_steps(
             table.dot, lambda x: x[:dim].sum(), _hermitian_coordinates(rho, upper)[0],
