@@ -201,6 +201,8 @@ def _cmd_cavity_scan(args) -> int:
 
 def _cmd_analyze(args) -> int:
     sweep_column, records = _read_spectrum_csv(args.input)
+    if not records:
+        raise ConfigError(f"{args.input}: no spectrum rows")
     report = {"input": args.input, "sweep_column": sweep_column, "engines": {}}
     for engine in sorted({r.engine for r in records}):
         subset = [r for r in records if r.engine == engine]
@@ -256,39 +258,37 @@ def _build_parser() -> argparse.ArgumentParser:
         description="Steady-state cavity transmission spectra for multilevel atoms.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    csv_flags = argparse.ArgumentParser(add_help=False)
+    csv_flags.add_argument("--config", help="flat key = value config file (defaults built in)")
+    csv_flags.add_argument("--out", required=True, help="output CSV path")
+    csv_flags.add_argument("--deterministic", action="store_true",
+                           help="omit the timestamp header line")
 
-    sweep = sub.add_parser("eit-sweep", help="transmission vs two-photon detuning")
-    sweep.add_argument("--config", help="flat key = value config file (defaults built in)")
+    sweep = sub.add_parser("eit-sweep", parents=[csv_flags],
+                           help="transmission vs two-photon detuning")
     sweep.add_argument("--atoms", type=int, choices=(0, 1, 2), help="override atom number")
     sweep.add_argument("--engine", choices=("me", "sc", "both"), default="me")
     sweep.add_argument("--three-level", action="store_true",
                        help="restrict the master equation to {g1, g2, e}")
-    sweep.add_argument("--out", required=True, help="output CSV path")
-    sweep.add_argument("--deterministic", action="store_true",
-                       help="omit the timestamp header line")
     sweep.set_defaults(func=_cmd_eit_sweep)
 
-    scan = sub.add_parser("cavity-scan", help="transmission vs probe-cavity detuning")
-    scan.add_argument("--config", help="flat key = value config file")
+    scan = sub.add_parser("cavity-scan", parents=[csv_flags],
+                          help="transmission vs probe-cavity detuning")
     scan.add_argument("--atoms", type=int, choices=(0, 1), default=1,
                       help="0: empty cavity, 1: one no-control atom")
     scan.add_argument("--start", type=float, default=-3.0, help="window start, MHz")
     scan.add_argument("--stop", type=float, default=3.0, help="window stop, MHz")
     scan.add_argument("--points", type=int, default=241, help="grid points")
-    scan.add_argument("--out", required=True, help="output CSV path")
-    scan.add_argument("--deterministic", action="store_true")
     scan.set_defaults(func=_cmd_cavity_scan)
 
     analyze = sub.add_parser("analyze", help="extrema report for a spectrum CSV")
     analyze.add_argument("--in", dest="input", required=True, help="input CSV path")
     analyze.set_defaults(func=_cmd_analyze)
 
-    converge = sub.add_parser("converge", help="Fock-truncation convergence table")
-    converge.add_argument("--config", help="flat key = value config file")
+    converge = sub.add_parser("converge", parents=[csv_flags],
+                              help="Fock-truncation convergence table")
     converge.add_argument("--nmax-list", required=True,
                           help="comma separated ascending truncations, e.g. 2,3,4")
-    converge.add_argument("--out", required=True, help="output CSV path")
-    converge.add_argument("--deterministic", action="store_true")
     converge.set_defaults(func=_cmd_converge)
     return parser
 

@@ -14,6 +14,7 @@ fast, and unambiguous.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -25,12 +26,16 @@ POSITIVITY_TOL = 1e-8
 
 @dataclass(frozen=True)
 class HilbertSpace:
-    """Tensor-product space described by its ordered subsystem dimensions."""
+    """Tensor-product space described by its ordered subsystem dimensions.
+
+    Each dimension is an integer (NumPy integers included) of at least 2; a
+    float dimension raises TypeError.
+    """
 
     subsystem_dims: tuple[int, ...]
 
     def __post_init__(self):
-        dims = tuple(int(d) for d in self.subsystem_dims)
+        dims = tuple(operator.index(d) for d in self.subsystem_dims)
         object.__setattr__(self, "subsystem_dims", dims)
         if not dims:
             raise ValueError("a Hilbert space needs at least one subsystem")

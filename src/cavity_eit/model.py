@@ -27,6 +27,7 @@ decay gamma_deph) widens it to above 400 kHz.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, fields
 from typing import NamedTuple
 
@@ -59,7 +60,9 @@ class PhysicsParams:
     with the cavity, 0.1 intracavity photons from the probe, and a 0.1 MHz
     differential light shift on g1.  Hyperfine offsets, coupling/control
     ratios and branching fractions are standard cesium D2 data, not fitted
-    quantities; override them freely.
+    quantities; override them freely.  The counts ``n_max`` (Fock
+    truncation, at least 1) and ``n_atoms`` (0, 1 or 2) are integers, NumPy
+    integers included; any other value, ``2.0`` too, is a ConfigError.
     """
 
     g: float = 3.0
@@ -92,16 +95,14 @@ class PhysicsParams:
         for f in fields(self):
             if not math.isfinite(getattr(self, f.name)):
                 raise ConfigError(f"{f.name} must be finite")
-        for name in ("g", "omega_con", "gamma", "kappa", "gamma_deph", "n_p"):
+        for name in ("g", "omega_con", "gamma", "kappa", "gamma_deph", "n_p",
+                     "r_d", "r_e", "r_f", "c_d", "c_e"):
             if getattr(self, name) < 0:
                 raise ConfigError(f"{name} must be nonnegative")
-        for name in ("r_d", "r_e", "r_f", "c_d", "c_e"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be nonnegative")
-        if self.n_max < 1:
-            raise ConfigError("n_max must be at least 1")
-        if self.n_atoms not in (0, 1, 2):
-            raise ConfigError("n_atoms must be 0, 1 or 2")
+        if not (isinstance(self.n_max, numbers.Integral) and self.n_max >= 1):
+            raise ConfigError(f"n_max must be an integer of at least 1, got {self.n_max!r}")
+        if not (isinstance(self.n_atoms, numbers.Integral) and self.n_atoms in (0, 1, 2)):
+            raise ConfigError(f"n_atoms must be an integer 0, 1 or 2, got {self.n_atoms!r}")
         for upper, pair in (
             ("d", (self.b_d_g1, self.b_d_g2)),
             ("e", (self.b_e_g1, self.b_e_g2)),

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import contextlib
 import math
+import numbers
 from dataclasses import dataclass, replace
 from typing import NamedTuple
 
@@ -71,7 +72,11 @@ GRID_TOL = 1e-10
 
 @dataclass(frozen=True)
 class SweepSpec:
-    """One sweep: which variable, window (linear MHz), grid size, engines."""
+    """One sweep: which variable, window (linear MHz), grid size, engines.
+
+    ``n_points`` is an integer (NumPy integers included) of at least 2; any
+    other value is a ConfigError.
+    """
 
     variable: str
     start: float
@@ -89,8 +94,8 @@ class SweepSpec:
             raise ConfigError("sweep window must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep window needs start < stop")
-        if self.n_points < 2:
-            raise ConfigError("a sweep needs at least 2 points")
+        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 2):
+            raise ConfigError(f"n_points must be an integer of at least 2, got {self.n_points!r}")
         step = (self.stop - self.start) / (self.n_points - 1)
         if step < GRID_TOL * max(abs(self.start), abs(self.stop)):
             raise ConfigError(
@@ -317,12 +322,17 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     threshold of :func:`~cavity_eit.model.empty_cavity_photons` the raw photon
     number is tabulated instead of the undefined transmission ratio.
     """
-    n_max_list = [int(n) for n in n_max_list]
+    n_max_list = list(n_max_list)
     if len(n_max_list) < 2:
         raise ConfigError("a truncation study needs at least two n_max values")
     if any(b <= a for a, b in zip(n_max_list, n_max_list[1:])):
         raise ConfigError("n_max values must be strictly ascending")
     abs_peak = params.omega_con**2 / (4.0 * params.delta_p) if params.delta_p else None
+    if abs_peak is not None and not math.isfinite(abs_peak):
+        raise ConfigError(
+            f"the absorption-peak detuning omega_con^2/(4 delta_p) = {abs_peak} MHz is not "
+            f"finite (omega_con = {params.omega_con!r}, delta_p = {params.delta_p!r})"
+        )
     # dict.fromkeys drops a repeat (omega_con = 0 puts the peak at 0) and keeps the order.
     deltas_mhz = list(dict.fromkeys([0.0, 1.5] if abs_peak is None else [0.0, abs_peak, 1.5]))
     try:
@@ -330,8 +340,8 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     except ConfigError:
         t0 = None
 
-    # every truncation's capacity, from dimensions alone, before the first
-    # solve; named as the first point it would stop
+    # every truncation's count and capacity, from dimensions alone, before the
+    # first solve; a capacity error is named as the first point it would stop
     for n_max in n_max_list:
         with _naming(f"n_max = {n_max}, delta = {deltas_mhz[0]} MHz"):
             model_space(replace(params, n_max=n_max))

@@ -367,8 +367,9 @@ _ROW = "{},0.5,0.05,,,me,1e-12\n"
         ("# generated now\n" + _HEADER + _ROW.format(0.0) + "0.1,nan,0.05,,,me,1e-12\n",
          "bad.csv:4:"),
         (_HEADER + "".join(_ROW.format(0.1 * i) for i in range(4)), "engine 'me'"),
+        ("# generated now\n" + _HEADER, "bad.csv: no spectrum rows"),
     ],
-    ids=["short-row", "non-numeric", "nan", "too-few-points"],
+    ids=["short-row", "non-numeric", "nan", "too-few-points", "header-only"],
 )
 def test_analyze_rejects_malformed_rows(tmp_path, capsys, text, where):
     bad = tmp_path / "bad.csv"
@@ -487,6 +488,22 @@ def test_converge_error_names_its_point(tmp_path, capsys, config_text, nmax_list
     assert set(record) == {"error", "message"}
     assert record["error"] == error
     assert record["message"].startswith(label)
+    assert not out.exists()
+
+
+def test_converge_names_an_overflowing_absorption_peak(tmp_path, capsys):
+    # omega_con^2/(4 delta_p) overflows at a subnormal delta_p: the record
+    # names the inputs that were set, not only the detuning derived from them
+    config = tmp_path / "run.cfg"
+    config.write_text("delta_p = 1e-310\n", encoding="utf-8")
+    out = tmp_path / "converge.csv"
+    assert main(["converge", "--config", str(config), "--nmax-list", "1,2",
+                 "--out", str(out)]) == 2
+    assert _strict_json(capsys.readouterr().err) == {
+        "error": "ConfigError",
+        "message": "the absorption-peak detuning omega_con^2/(4 delta_p) = inf MHz is not "
+                   "finite (omega_con = 2.8, delta_p = 1e-310)",
+    }
     assert not out.exists()
 
 

@@ -59,6 +59,40 @@ def test_spec_validation():
         SweepSpec(**{**good, "start": 1000.0, "stop": 1000.000001, "n_points": 241})
 
 
+def _forbidden_solve(*args, **kwargs):
+    pytest.fail("a point was solved with a count that is not an integer")
+
+
+_GOOD_SPEC = dict(variable=VAR_TWO_PHOTON, start=-0.9, stop=1.7, n_points=5,
+                  base_params=WORKING_POINT)
+
+
+@pytest.mark.parametrize(
+    "held, rejected, accepted, error, message",
+    [
+        (lambda n: PhysicsParams(n_max=n).n_max, 2.5, np.int64(3), ConfigError,
+         r"^n_max must be an integer of at least 1, got 2\.5$"),
+        (lambda n: PhysicsParams(n_atoms=n).n_atoms, 1.0, np.int64(2), ConfigError,
+         r"^n_atoms must be an integer 0, 1 or 2, got 1\.0$"),
+        (lambda n: SweepSpec(**{**_GOOD_SPEC, "n_points": n}).n_points, 5.5, np.int64(5),
+         ConfigError, r"^n_points must be an integer of at least 2, got 5\.5$"),
+        (lambda n: convergence_study(WORKING_POINT, [n, 2]).n_max_list[0], 1.5, np.int64(1),
+         ConfigError, r"^n_max must be an integer of at least 1, got 1\.5$"),
+        (lambda n: HilbertSpace((5, n)).subsystem_dims[1], 2.5, np.int64(2), TypeError, None),
+    ],
+    ids=["n_max", "n_atoms", "n_points", "convergence-n_max", "hilbert-dim"],
+)
+def test_counts_are_integers_checked_where_held(monkeypatch, held, rejected, accepted, error,
+                                                message):
+    # a float count raises before any solve instead of being truncated
+    # downstream; a NumPy integer is a count
+    with monkeypatch.context() as patch:
+        patch.setattr(sweep, "steady_state", _forbidden_solve)
+        with pytest.raises(error, match=message):
+            held(rejected)
+    assert held(accepted) == accepted
+
+
 def test_empty_cavity_scan_is_resonance_line():
     params = replace(WORKING_POINT, n_atoms=0, n_p=1e-4, n_max=6)
     spec = SweepSpec(VAR_PROBE_CAVITY, -3.0, 3.0, 61, params)
