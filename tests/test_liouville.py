@@ -541,6 +541,37 @@ def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, 
         assert cond == alone.diagnostics.condition_estimate == _one_point_solve(system, value)[1]
 
 
+_WINDOW = np.linspace(-0.9, 1.7, 7)
+
+
+@pytest.mark.parametrize(
+    "field, scheme, params, values",
+    [
+        ("delta", "five", PhysicsParams(), _WINDOW),
+        ("delta", "three", PhysicsParams(), _WINDOW),
+        ("delta_p_cav", "five", replace(PhysicsParams(), n_atoms=0), np.linspace(-3.0, 3.0, 7)),
+        ("delta_p_cav", "two", PhysicsParams(), np.linspace(-3.0, 3.0, 7)),
+        ("delta_p_cav", "three", PhysicsParams(), np.linspace(-3.0, 3.0, 7)),
+        ("delta", "five", replace(PhysicsParams(), n_atoms=2, n_max=1), (0.0, 0.75, 1.5)),
+        ("delta", "five", replace(PhysicsParams(), g=1e-3), _WINDOW),
+        ("delta", "five", replace(PhysicsParams(), omega_con=1e-3), _WINDOW),
+        ("delta", "five", replace(PhysicsParams(), omega_con=30.0), _WINDOW),
+        ("delta", "five", replace(PhysicsParams(), gamma_deph=0.0), _WINDOW),
+        ("delta", "five", replace(PhysicsParams(), kappa=1e-3), _WINDOW),
+    ],
+    ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "three-level-scan",
+         "two-atoms", "g-1e-3", "omega_con-1e-3", "omega_con-30", "gamma_deph-0", "kappa-1e-3"],
+)
+def test_every_point_matches_its_own_one_point_lu(field, scheme, params, values):
+    # however a sweep shares its factorizations, each point's state and
+    # condition estimate are those of the LU of its own system
+    system = _parametric_system(field, scheme, params)
+    for value, solution in zip(values, system.solve_each(values), strict=True):
+        rho, cond = _one_point_solve(system, value)
+        assert np.max(np.abs(solution.rho.matrix - rho)) <= 1e-12 * np.max(np.abs(rho))
+        assert solution.diagnostics.condition_estimate == pytest.approx(cond, rel=1e-10)
+
+
 @_BLOCK_CASES
 def test_unrelaxed_lu_matches_superlu_default_relaxation(field, scheme, params, values):
     # the block LUs leave SuperLU's supernodes unrelaxed and prefer diagonal
