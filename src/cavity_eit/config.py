@@ -16,7 +16,7 @@ from typing import get_type_hints
 
 from .errors import ConfigError
 from .model import PhysicsParams
-from .sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP
+from .sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, SweepSpec
 
 _PARAM_FIELDS = [f.name for f in dataclasses.fields(PhysicsParams)]
 
@@ -33,8 +33,7 @@ class RunConfig(PhysicsParams):
         super().__post_init__()
         if not self.start < self.stop:
             raise ConfigError("sweep window needs start < stop")
-        if self.n_points < 2:
-            raise ConfigError("n_points must be at least 2")
+        SweepSpec.check_n_points(self.n_points)
 
     def params(self) -> PhysicsParams:
         values = {name: getattr(self, name) for name in _PARAM_FIELDS}
@@ -45,9 +44,13 @@ class RunConfig(PhysicsParams):
         return tuple(f.name for f in dataclasses.fields(cls))
 
     @classmethod
+    def int_keys(cls) -> set[str]:
+        return {name for name, kind in get_type_hints(cls).items() if kind is int}
+
+    @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
         known = set(cls.keys())
-        int_keys = {name for name, kind in get_type_hints(cls).items() if kind is int}
+        int_keys = cls.int_keys()
         values: dict[str, float | int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -81,8 +84,11 @@ class RunConfig(PhysicsParams):
         return cls.from_text(text, source=str(path))
 
     def to_text(self) -> str:
+        """The text :meth:`from_text` reads back into an equal config, NumPy
+        scalars written as the Python numbers they equal."""
+        int_keys = self.int_keys()
         lines = []
         for name in self.keys():
-            value = getattr(self, name)
+            value = (int if name in int_keys else float)(getattr(self, name))
             lines.append(f"{name} = {value!r}")
         return "\n".join(lines) + "\n"

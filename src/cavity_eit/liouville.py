@@ -7,12 +7,16 @@ generator is assembled from the effective Hamiltonian
 replacing one row (the one belonging to the rho[0,0] component) with the
 trace functional and solving the resulting linear system by sparse LU
 factorization.  A family H + v*G with G real diagonal changes only the
-diagonal of that system, so a sweep over v assembles it once, orders it for
-sparse LU once, and each block of values is one diagonal update per value and
-one sparse LU of their block-diagonal system, with SuperLU's supernodes left
-unrelaxed and threshold partial pivoting that keeps the diagonal pivots the
-stored order assumes: one sparse LU per block of points, whose states (one
-stacked eigendecomposition) and residuals are checked for the whole block at
+diagonal of that system, in its r columns where G's diagonal differs
+between the two indices of rho, so a sweep over v assembles it once, orders
+it for sparse LU once and, when r is small (one atom), factors it once, at
+one base value: every other value is a rank-r update of that LU
+(Sherman-Morrison-Woodbury, with one r x r eigendecomposition for the whole
+sweep).  The LUs leave SuperLU's supernodes unrelaxed and use threshold
+partial pivoting that keeps the diagonal pivots the stored order assumes.
+A value the base cannot serve, and every value of a sweep with large r (two
+atoms), gets its own LU.  States (one stacked eigendecomposition),
+residuals and condition estimates are computed for a slice of values at
 once.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
@@ -23,16 +27,18 @@ row-major flat state for the jump sum.  It never touches the vectorized
 generator, so the steady-state residual and the explicit RK4 integrator,
 which use only that closure, serve as independent cross-checks of the
 vectorized solver.  For small models the integrator tabulates its fixed
-RK4 step once, from one closure step of the stack of every Hermitian basis
-matrix, as a real matrix on the Hermitian coordinates of rho.
+RK4 step once, from closure steps of stacks of Hermitian basis matrices, as
+a real matrix on the Hermitian coordinates of rho.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 import scipy.sparse as sp
@@ -56,6 +62,12 @@ TRACE_DRIFT_LIMIT = 1e-6
 # 19-26 vs 63-86 us at 400, 157-268 vs 96 us at 900, 1.2-2.3 vs 0.25 ms at
 # 2500.
 _TABULATE_MAX_SIZE = 512
+# Basis matrices per closure step when evolve tabulates its RK4 step, so
+# that the step's stacks stay small; the table's bits do not depend on it.
+# Traced peak of evolve (table and 2 steps) at N=1, n_max 2 (size 225, table
+# 0.41 MB): 5.54 MB stepping all 225 at once, 3.45 / 2.18 / 1.40 / 0.91 MB
+# in slices of 128 / 64 / 32 / 16, at 6-14 ms a call for every slice size.
+_TABLE_SLICE = 16
 
 # Conditioning of the balanced trace-replaced system: healthy solves sit
 # around 1e4..1e6 here; values beyond _COND_WARN signal a near-degenerate
@@ -68,14 +80,30 @@ _SINGULAR_COND = 1e14
 # is judged against DEFAULT_TOL * max(1, max|L| / L_REF), so a model at or
 # below this scale keeps the absolute tolerance and a rescaled one scales it.
 L_REF = 2.842e3
-# Liouville rows of one block-diagonal system in ParametricSteadyState: a
-# one-atom point (size 225) solves 4 values per sparse LU, a two-atom point
-# (2500 or more) one.  The default 261-point sweep on a 2-core host, 1 BLAS
-# thread, unrelaxed supernodes, at 512 / 1024 / 1536 / 2048 rows: 0.51 /
-# 0.43 / 0.42 / 0.40 s, peak RSS 66.4 / 67.1 / 68.3 / 68.5 MB (medians of 6
-# processes, 11 rounds each; the block's SuperLU factors and workspace).
-_BLOCK_ROWS = 1024
-# SuperLU's supernode relaxation for the block LUs: relax=1 leaves every
+# Largest rank r of a sweep's diagonal step (the number of Liouville
+# columns whose diagonal moves) for which one base LU serves every value of
+# the sweep (ParametricSteadyState).  Above it every value is its own base.
+# One-atom CSVs must not depend on the BLAS thread count, and the r x r
+# np.linalg.eig and inv of a random complex matrix, with the bundled
+# OpenBLAS 0.3.31 on a 2-core host, keep their bits at 1 and 2 threads for
+# r = 24, 36, 48, 64, 72 and 96 and change them at r = 100, 112, 128, 150
+# and 200 (every product of the update sums over r terms, so only r
+# matters).  Ranks of the sweeps: five-level delta 72 / 128 / 200 at
+# n_max 2 / 3 / 4, three-level delta 36 / 64 / 100, two-level cavity scan
+# 24 / 48 / 80, five-level cavity scan 150 at n_max 2, two atoms 1216 or
+# more.
+_ONE_BASE_MAX_RANK = 96
+# Largest 1-norm condition number of the eigenvector matrix V of the update
+# for which the base LU serves a sweep; the update's error grows with it.
+# Against one LU per point, the estimates of 41-point windows of the five-
+# and three-level delta sweeps (default, g = 1e-3, omega_con = 1e-3 and 30,
+# gamma_deph = 0, kappa = 1e-3; cond(V) 12 to 1.3e5) differ by at most
+# 1.2e-13 relative, about 1e-17 cond(V), and the states by 8e-15.
+_EIGVEC_COND_MAX = 1e6
+# Values whose states, checks and estimates one pass of a sweep computes at
+# once.
+_SLICE_POINTS = 8
+# SuperLU's supernode relaxation for the sweep LUs: relax=1 leaves every
 # supernode as the pattern makes it, where the default pads small ones with
 # explicit zeros for BLAS kernels.  One LU on a 2-core host, 1 BLAS thread,
 # default against relax=1 (interquartile range of alternating repetitions):
@@ -83,7 +111,7 @@ _BLOCK_ROWS = 1024
 # 6.2-7.9 ms, 625 rows 10.3-11.4 against 8.9-10.0 ms, two atoms at 2500 rows
 # 323-376 against 227-254 ms and at 5625 rows 5.0-5.3 against 4.2-4.5 s.
 _SUPERNODE_RELAX = 1
-# Threshold partial pivoting for the block LUs: SuperLU keeps the diagonal
+# Threshold partial pivoting for the sweep LUs: SuperLU keeps the diagonal
 # pivot unless it is below 0.1 of its column's largest entry, where the
 # default (1.0) takes the largest entry, so the stored fill-reducing order,
 # which assumes diagonal pivots, keeps its fill.  One LU with relax=1 on a
@@ -266,6 +294,56 @@ def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     return liou
 
 
+class _Update(NamedTuple):
+    """The rank-r step from a base LU of A0 to the system at any value."""
+
+    support: np.ndarray  # the r columns E whose diagonal moves, by d
+    gains: np.ndarray  # eigenvalues lam of K = diag(d) E^T W
+    solved: np.ndarray  # W = A0^-1 E
+    solved_h: np.ndarray  # A0^-H E
+    vectors: np.ndarray  # eigenvectors V of K
+    inverse: np.ndarray  # V^-1 diag(d)
+
+
+class _SweepSolver:
+    """``solve(x, trans)`` with the systems A(v) = R_v (A0 + t E diag(d) E^T)
+    of a slice of values, their right-hand sides stacked in the rows of the
+    flat ``x``, as :func:`_inverse_one_norms` calls it; ``trans`` is "N"
+    or "H".
+
+    ``lu`` factors the base A0, ``shifts`` are t = v - v0, and R_v scales
+    the trace row ``row`` by ``ratios``.  Without an update it is the base
+    LU's own solve, as for a value that is its own base.
+    """
+
+    def __init__(self, lu, row: int, update: _Update | None, shifts: np.ndarray,
+                 ratios: np.ndarray):
+        self._lu, self._row, self._update, self._ratios = lu, row, update, ratios
+        if update is not None:
+            # (I + tK)^-1 t = V diag(t / (1 + t lam)) V^-1, a column per value
+            self._gains = shifts / (1.0 + np.outer(update.gains, shifts))
+
+    def solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        x = x.reshape(self._ratios.size, -1)
+        if trans == "N":
+            x = x.copy()
+            x[:, self._row] /= self._ratios
+        y = self._lu.solve(x.T, trans=trans)
+        u = self._update
+        if u is not None:
+            # A(v)^-1 = A0^-1 - W V diag(f) V^-1 diag(d) E^T A0^-1, f = t / (1 + t lam),
+            # and its conjugate transpose
+            if trans == "N":
+                y -= u.solved @ (u.vectors @ (self._gains * (u.inverse @ y[u.support])))
+            else:
+                y -= u.solved_h @ (u.inverse.conj().T @ (
+                    self._gains.conj() * (u.vectors.conj().T @ y[u.support])))
+        y = y.T
+        if trans != "N":
+            y[:, self._row] /= self._ratios
+        return y.reshape(-1)
+
+
 class ParametricSteadyState:
     """Steady states of the family H(v) = H + v*G from one generator assembly.
 
@@ -282,18 +360,35 @@ class ParametricSteadyState:
     ``diag_pivot_thresh=_DIAG_PIVOT_THRESH``, which keeps the diagonal pivots
     that order was computed for.
     The right-hand side and the solutions pass through the permutation.
-    :meth:`solve_each` stacks the systems of a block of values into one
-    block-diagonal matrix (``_BLOCK_ROWS`` Liouville rows at most): one
-    sparse LU per block of points, one solve for all their states and one
-    lockstep condition estimate.  The block's states (Hermitian part, trace-normalized), their
+
+    Only the diagonal moves with v, in the r columns E where D is nonzero,
+    and the trace row's scale, a diagonal factor R_v on the left:
+    A(v) = R_v (A0 + t E diag(d) E^T), t = v - v0, for the system A0 at a
+    base value v0.  :meth:`solve_each` decides which values are bases.  When
+    r is at most ``_ONE_BASE_MAX_RANK``, one LU of A0 at the value nearest
+    the window's midpoint serves every value, by Sherman-Morrison-Woodbury
+    from W = A0^-1 E and one eigendecomposition K = V diag(lam) V^-1 of
+    the r x r matrix K = diag(d) E^T W: A(v)^-1 applies the base LU and a
+    rank-r correction with the gains t / (1 + t lam), and A(v)^-H the same
+    from A0^-H E and V^H (Laub's frequency-response method).  Above that
+    rank every value is its own base.  A value whose system the base cannot
+    serve gets its own LU, as a single solve: all of them when the base
+    fails to factor, its estimate exceeds ``_COND_WARN`` or cond(V) exceeds
+    ``_EIGVEC_COND_MAX``, and any one whose estimate is not finite or
+    exceeds ``_COND_WARN``.  So every warning and singular verdict comes
+    from the LU a single solve uses, and a value that is its own base (v =
+    0 in :func:`steady_state`) gets exactly that solve's bits.
+    Each value's scale and 1-norm are read from the diagonal, the only
+    entries that move.  The states (Hermitian part, trace-normalized), their
     density-matrix checks (:meth:`DensityMatrix.each`, one stacked
-    eigendecomposition) and their residuals max|L_v(rho)| are computed for
-    the whole block at once, the residual from one L(rho) closure built at
-    v = 0, applied to the stack of states, plus -i[vG, rho] by diagonal
-    products.  Then each value raises or warns as a single solve would, in
-    order, as it is yielded, and each solution carries its verdict against
-    the scaled tolerance.  Every value's bits are those of its own one-point
-    solve.
+    eigendecomposition), their residuals max|L_v(rho)| and their condition
+    estimates (lockstep, through the updated solves) are computed for
+    ``_SLICE_POINTS`` values at a time, the residual from one L(rho) closure
+    built at v = 0, applied to the stack of states, plus -i[vG, rho] by
+    diagonal products: it never touches the factored system.  Then each
+    value raises or warns as a single solve would, in order, as it is
+    yielded, and each solution carries its verdict against the scaled
+    tolerance.
     """
 
     def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
@@ -310,8 +405,6 @@ class ParametricSteadyState:
             g = g.real
         liou = build_superoperator(model)
         head = liou.data[liou.indptr[0]:liou.indptr[1]]
-        # L(v) keeps row 0 of L(0); its largest entry enters the trace-row scale
-        self._head_max = float(np.abs(head).max()) if head.size else 0.0
         body = liou[1:].tocoo()
         diagonal = np.arange(1, size)
         rows = np.concatenate([np.zeros(dim, dtype=int), body.row + 1, diagonal])
@@ -334,9 +427,22 @@ class ParametricSteadyState:
         # column l holds its diagonal entry exactly once; it belongs to
         # index k = i + j*dim of vec(rho)
         k = np.argsort(position)
-        on_diagonal = system.indices == np.repeat(np.arange(size), np.diff(system.indptr))
+        columns = np.repeat(np.arange(size), np.diff(system.indptr))
+        on_diagonal = system.indices == columns
         self._step = np.zeros_like(self._base)
         self._step[on_diagonal] = 1j * (g[k // dim] - g[k % dim])
+        # the entries that move with v: each column's diagonal (zero in the
+        # trace row) and the trace row's scale
+        self._diagonal = self._base[on_diagonal]
+        self._diagonal_step = self._step[on_diagonal]
+        self._support = np.flatnonzero(self._diagonal_step)
+        fixed = np.abs(self._base)
+        fixed[on_diagonal] = 0.0
+        self._fixed_sums = np.add.reduceat(fixed, system.indptr[:-1])
+        self._traced = np.zeros(size)
+        self._traced[columns[self._trace]] = 1.0
+        # L(v) keeps row 0 of L(0); its largest entry enters the trace-row scale
+        self._scale_floor = max(1.0, float(np.abs(head).max(initial=0.0)), float(fixed.max()))
         self._commutator = g[:, None] - g
         self._apply = _apply_factory(model)
         self.model = model
@@ -354,65 +460,100 @@ class ParametricSteadyState:
         value, as it is yielded.
         """
         values = [float(value) for value in values]
-        per_block = max(1, _BLOCK_ROWS // self._size)
-        for start in range(0, len(values), per_block):
-            yield from self._solve_block(values[start:start + per_block])
+        if values and self._support.size <= _ONE_BASE_MAX_RANK:
+            middle = 0.5 * (min(values) + max(values))
+            outcomes = self._outcomes(min(values, key=lambda value: abs(value - middle)), values)
+        else:
+            outcomes = itertools.chain.from_iterable(self._outcomes(value, [value]) for value in values)
+        for outcome in outcomes:
+            yield self._solution(*outcome)
 
-    def _solve_block(self, values: list[float]) -> Iterator[SteadyStateSolution]:
-        """Solutions of :meth:`solve_each` for one block from one sparse LU."""
+    def _scales_and_norms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The trace-row scale max(1, max|L(v)|) and the 1-norm of the system
+        at each of ``values``, from the diagonal, the only entries that move."""
+        diagonal = np.abs(self._diagonal + values[:, None] * self._diagonal_step)
+        scales = np.maximum(self._scale_floor, diagonal.max(axis=1))
+        norms = (self._fixed_sums + diagonal + scales[:, None] * self._traced).max(axis=1)
+        return scales, norms
+
+    def _outcomes(self, base: float, values: list[float]) -> Iterator[tuple]:
+        """The arguments of :meth:`_solution` for each of ``values``, in order,
+        from the LU at ``base`` where it serves, else from each value's own."""
         size = self._size
-        points = len(values)
-        nnz = self._base.size
-        # a fresh array per block: a live SuperLU never sees its input change
-        data = self._base + np.array(values)[:, None] * self._step
-        scales = np.maximum(max(1.0, self._head_max), np.abs(data).max(axis=1))
-        data[:, self._trace] = scales[:, None]
-        offsets = np.arange(points)[:, None]
-        system = sp.csc_matrix(
-            (
-                data.reshape(-1),
-                (self._indices + size * offsets).reshape(-1),
-                np.append((self._indptr[:-1] + nnz * offsets).reshape(-1), points * nnz),
-            ),
-            shape=(points * size, points * size),
-        )
+        scale, norm = self._scales_and_norms(np.array([base]))
+        data = self._base + base * self._step
+        data[self._trace] = scale
+        alone = len(values) == 1
         try:
             # the system is stored in its fill-reducing order already
             lu = splu(
-                system, permc_spec="NATURAL", relax=_SUPERNODE_RELAX,
-                diag_pivot_thresh=_DIAG_PIVOT_THRESH,
+                sp.csc_matrix((data, self._indices, self._indptr), shape=(size, size)),
+                permc_spec="NATURAL", relax=_SUPERNODE_RELAX, diag_pivot_thresh=_DIAG_PIVOT_THRESH,
             )
         except RuntimeError as exc:
-            if points == 1:
+            if alone:
                 raise DegenerateSteadyStateError(
                     f"sparse factorization failed, generator is singular: {exc}",
                     condition_estimate=math.inf,
                 ) from exc
-            # name the first singular value exactly: blocks of one, in order
+            lu = None
+        update = None
+        if lu is not None and not alone:
+            solver = _SweepSolver(lu, self._position[0], None, np.zeros(1), np.ones(1))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                healthy = norm[0] * _inverse_one_norms(solver, 1, size)[0] <= _COND_WARN
+            update = self._update(lu) if healthy else None
+        if lu is None or not (alone or update):
+            # name the first singular value exactly: each value its own base
             for value in values:
-                yield from self._solve_block([value])
+                yield from self._outcomes(value, [value])
             return
-        rhs = np.zeros((points, size), dtype=complex)
-        rhs[:, self._position[0]] = scales
-        vecs = lu.solve(rhs.reshape(-1)).reshape(points, size)[:, self._position]
-        finite = np.isfinite(vecs).all(axis=1)
-        # a point whose state or estimate is not finite raises on its own
-        # check below, in order, so overflow here is no warning
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            column_sums = np.add.reduceat(np.abs(data.reshape(-1)), system.indptr[:-1])
-            anorm = column_sums.reshape(points, size).max(axis=1)
-            conds = anorm * _inverse_one_norms(lu, points, size)
-            states, residuals = self._states(values, vecs)
-        for p in range(points):
-            yield self._solution(
-                states[p], float(residuals[p]), bool(finite[p]), float(conds[p]), float(scales[p])
-            )
+        for start in range(0, len(values), _SLICE_POINTS):
+            chunk = np.array(values[start:start + _SLICE_POINTS])
+            points = chunk.size
+            scales, norms = self._scales_and_norms(chunk)
+            solver = _SweepSolver(lu, self._position[0], update, chunk - base, scales / scale)
+            rhs = np.zeros((points, size), dtype=complex)
+            rhs[:, self._position[0]] = scales
+            vecs = solver.solve(rhs.reshape(-1)).reshape(points, size)[:, self._position]
+            finite = np.isfinite(vecs).all(axis=1)
+            # a point whose state or estimate is not finite gets its own LU
+            # or raises on its own check below, in order, so overflow here
+            # is no warning
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                conds = norms * _inverse_one_norms(solver, points, size)
+                states, residuals = self._states(chunk, vecs)
+            for p, value in enumerate(chunk.tolist()):
+                if value != base and not (finite[p] and conds[p] <= _COND_WARN):
+                    yield from self._outcomes(value, [value])
+                else:
+                    yield (states[p], float(residuals[p]), bool(finite[p]), float(conds[p]),
+                           float(scales[p]))
+
+    def _update(self, lu) -> _Update | None:
+        """The rank-r update from the LU at a base to every value, or None
+        when the eigenvectors of K are too ill-conditioned to carry it."""
+        support = self._support
+        rank = support.size
+        spread = self._diagonal_step[support]
+        unit = np.zeros((self._size, rank), dtype=complex, order="F")
+        unit[support, np.arange(rank)] = 1.0
+        solved = lu.solve(unit)
+        try:
+            gains, vectors = np.linalg.eig(spread[:, None] * solved[support])
+            inverse = np.linalg.inv(vectors)
+        except np.linalg.LinAlgError:
+            return None
+        norm = np.abs(vectors).sum(axis=0).max(initial=0.0)
+        if not norm * np.abs(inverse).sum(axis=0).max(initial=0.0) <= _EIGVEC_COND_MAX:
+            return None
+        return _Update(support, gains, solved, lu.solve(unit, trans="H"), vectors, inverse * spread)
 
     def _states(
-        self, values: list[float], vecs: np.ndarray
+        self, values: np.ndarray, vecs: np.ndarray
     ) -> tuple[list[DensityMatrix | ValueError], np.ndarray]:
-        """A block's checked states and their residuals max|L_v(rho)|, for all
-        points at once.
+        """Checked states and their residuals max|L_v(rho)|, for all of
+        ``values`` at once.
 
         ``vecs`` holds one solved vec(rho) per row.  Each state is its
         Hermitian part divided by its trace, checked by
@@ -428,7 +569,7 @@ class ParametricSteadyState:
         traces = np.ascontiguousarray(rho.diagonal(axis1=1, axis2=2)).sum(axis=1).real
         rho = rho / traces[:, None, None]
         # L_v(rho) = L_0(rho) - i[vG, rho]
-        shift = 1j * np.array(values)[:, None, None] * self._commutator
+        shift = 1j * values[:, None, None] * self._commutator
         image = self._apply(rho) - shift * rho
         states = DensityMatrix.each(self.model.space, rho)
         return states, np.abs(image).max(axis=(1, 2))
@@ -456,7 +597,7 @@ class ParametricSteadyState:
                 f"generator is close to degenerate (condition ~ {cond:.3e}); "
                 "the steady state may be poorly determined",
                 NearDegeneracyWarning,
-                stacklevel=4,
+                stacklevel=3,
             )
 
         diagnostics = SolverDiagnostics(
@@ -494,13 +635,15 @@ def _fill_reducing_position(rows: np.ndarray, cols: np.ndarray, size: int) -> np
 
 
 def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
-    """||A_p^-1||_1 estimates for the ``points`` diagonal blocks A_p of the
-    block-diagonal matrix factored in ``lu``, each of order ``size``.
+    """||A_p^-1||_1 estimates for ``points`` systems A_p, each of order
+    ``size``, that ``lu.solve(x, trans)`` solves with their right-hand sides
+    stacked in the rows of the flat ``x`` (``trans`` "N" for A_p, "H" for
+    A_p^H): a sweep's updated solves, or the LU of a block-diagonal matrix.
 
     Hager's estimator as refined by Higham (LAPACK's gecon method; Higham
     and Tisseur's block algorithm with one column, which draws no random
-    probes), run for every block in lockstep: each iteration is one
-    block-wide solve with A and one with A^H, and a block stops on its own
+    probes), run for every system in lockstep: each iteration is one
+    stacked solve with A and one with A^H, and a system stops on its own
     tests while the others go on.  At most 5 iterations, as in scipy's
     ``onenormest``.
     """
@@ -618,8 +761,8 @@ def evolve(
     L is linear and time-independent, so a step, :func:`_rk4_step` on the
     closure of :func:`_apply_factory`, is one fixed real-linear map of the
     Hermitian coordinates of rho.  Up to Liouville size
-    ``_TABULATE_MAX_SIZE`` that map is tabulated once, from one step of the
-    stack of every Hermitian basis matrix, and every step is one real
+    ``_TABULATE_MAX_SIZE`` that map is tabulated once, from steps of the
+    Hermitian basis matrices, ``_TABLE_SLICE`` at a time, and every step is one real
     matrix-vector product; above it each step runs the closure on a
     one-point stack and is re-Hermitized.
     The state is trace-renormalized after every step; a per-step trace drift
@@ -645,12 +788,16 @@ def evolve(
     apply = _apply_factory(model)
     dim = model.space.total_dim
     rho = np.array(rho0.matrix[None], dtype=complex)
-    if dim * dim <= _TABULATE_MAX_SIZE:
+    size = dim * dim
+    if size <= _TABULATE_MAX_SIZE:
         upper = np.triu_indices(dim, 1)
-        basis = _hermitian_matrix(np.identity(dim * dim), upper, dim)
         # column b is the image of basis matrix b, C-contiguous: a transposed
         # table runs another BLAS kernel in table.dot, 8e-15 off on the N=1 oracle
-        table = np.ascontiguousarray(_hermitian_coordinates(_rk4_step(apply, basis, step), upper).T)
+        table = np.empty((size, size))
+        for start in range(0, size, _TABLE_SLICE):
+            basis = _hermitian_matrix(np.eye(min(_TABLE_SLICE, size - start), size, start), upper, dim)
+            images = _hermitian_coordinates(_rk4_step(apply, basis, step), upper)
+            table[:, start:start + len(basis)] = images.T
         coords = _run_steps(
             table.dot, lambda x: x[:dim].sum(), _hermitian_coordinates(rho, upper)[0],
             steps, step,

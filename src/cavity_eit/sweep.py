@@ -5,10 +5,12 @@ relaxation rate far exceeds any realistic scan speed).  Both sweep variables
 enter the Hamiltonian as v*G with G diagonal (``model.scan_operator``; the
 drive is pinned for probe-cavity scans), so a master-equation sweep builds
 its model and assembles the generator once, and every point is one diagonal
-update of that system, with one sparse LU per block of points
-(``ParametricSteadyState.solve_each``).  Each point gets the bits of its own
-one-point solve, and points are checked and recorded in grid order, so a
-given spec produces bit-identical records on every run.
+update of that system (``ParametricSteadyState.solve_each``).  A one-atom
+sweep factors it once, at the grid point nearest the window's midpoint, and
+solves every other point as a low-rank update of that LU; a two-atom sweep
+factors every point.  Each point's state and condition estimate are those of
+its own one-point solve to rounding, and points are checked and recorded in
+grid order, so a given spec produces bit-identical records on every run.
 """
 
 from __future__ import annotations
@@ -94,8 +96,7 @@ class SweepSpec:
             raise ConfigError("sweep window must be finite")
         if not self.start < self.stop:
             raise ConfigError("sweep window needs start < stop")
-        if not (isinstance(self.n_points, numbers.Integral) and self.n_points >= 2):
-            raise ConfigError(f"n_points must be an integer of at least 2, got {self.n_points!r}")
+        self.check_n_points(self.n_points)
         step = (self.stop - self.start) / (self.n_points - 1)
         if step < GRID_TOL * max(abs(self.start), abs(self.stop)):
             raise ConfigError(
@@ -113,6 +114,12 @@ class SweepSpec:
             raise ConfigError("the semiclassical engine only sweeps the two-photon detuning")
         if self.level_scheme not in _BUILDERS:
             raise ConfigError(f"unknown level scheme {self.level_scheme!r}")
+
+    @staticmethod
+    def check_n_points(n_points) -> None:
+        """Raise ConfigError unless ``n_points`` is an integer of at least 2."""
+        if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
+            raise ConfigError(f"n_points must be an integer of at least 2, got {n_points!r}")
 
 
 @dataclass(frozen=True)

@@ -90,6 +90,22 @@ def test_config_text_round_trip_property(config):
         assert type(getattr(back, name)) is int
 
 
+@pytest.mark.parametrize("n_points", [5.5, 2.0, 1], ids=["float", "integral-float", "one"])
+def test_config_n_points_follows_the_sweep_rule(n_points):
+    # RunConfig holds the sweep's grid size to SweepSpec's rule, so it never
+    # writes a text that it cannot read back
+    message = f"n_points must be an integer of at least 2, got {n_points!r}"
+    with pytest.raises(ConfigError, match=f"^{message}$".replace(".", r"\.")):
+        RunConfig(n_points=n_points)
+
+
+def test_config_with_numpy_scalars_round_trips():
+    config = RunConfig(n_points=np.int64(51), n_max=np.int64(3), g=np.float64(2.5))
+    back = RunConfig.from_text(config.to_text())
+    assert back == config
+    assert type(back.n_points) is int and type(back.g) is float
+
+
 def test_config_parses_values_and_comments():
     config = RunConfig.from_text("g = 4.2  # stronger coupling\n\nn_atoms = 2\n")
     assert config.g == 4.2
@@ -595,13 +611,14 @@ def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, 
     assert not out.exists()
 
 
-def _sweep_at_blas_threads(out, threads, *args):
-    """Run ``eit-sweep --deterministic`` in a fresh process with the BLAS
-    limited to ``threads`` threads; return the CSV's bytes."""
+def _sweep_at_blas_threads(out, threads, *args, command=("eit-sweep", "--engine", "both")):
+    """Run ``command --deterministic`` (``eit-sweep`` with both engines by
+    default) in a fresh process with the BLAS limited to ``threads``
+    threads; return the CSV's bytes."""
     package_root = Path(cavity_eit.__file__).resolve().parent.parent
     env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(package_root))
     subprocess.run(
-        [sys.executable, "-m", "cavity_eit", "eit-sweep", *args, "--engine", "both",
+        [sys.executable, "-m", "cavity_eit", *command, *args,
          "--out", str(out), "--deterministic"],
         env=env, check=True, timeout=300,
     )
@@ -609,12 +626,23 @@ def _sweep_at_blas_threads(out, threads, *args):
 
 
 def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
-    # byte identity must not hinge on how many threads the BLAS starts
-    outputs = [
-        _sweep_at_blas_threads(tmp_path / f"threads{threads}.csv", threads, "--config", small_config)
-        for threads in ("1", "2")
-    ]
-    assert outputs[0] == outputs[1]
+    # byte identity must not hinge on how many threads the BLAS starts: the
+    # default one-atom sweep (update rank 72), and the two-level cavity scan
+    # at n_max 4, whose rank 80 is the largest of a one-atom sweep that one
+    # base LU serves
+    config = tmp_path / "two_level.cfg"
+    config.write_text("n_max = 4\n", encoding="utf-8")
+    runs = {
+        "default": (("--config", small_config), {}),
+        "two-level": (("--config", str(config), "--atoms", "1", "--start", "-2", "--stop", "2",
+                       "--points", "9"), {"command": ("cavity-scan",)}),
+    }
+    for name, (args, options) in runs.items():
+        outputs = [
+            _sweep_at_blas_threads(tmp_path / f"{name}{threads}.csv", threads, *args, **options)
+            for threads in ("1", "2")
+        ]
+        assert outputs[0] == outputs[1], name
 
 
 def test_two_atom_csv_identical_at_fixed_blas_threads(tmp_path):

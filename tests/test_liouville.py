@@ -254,9 +254,9 @@ def test_held_apply_of_a_stack_is_the_apply_of_each_matrix(make):
     ids=["random", "one-atom-nmax1", "one-atom"],
 )
 def test_stacked_rk4_table_is_the_step_of_each_basis_matrix(make, monkeypatch):
-    # evolve tabulates its RK4 step from one step of the stack of every
-    # Hermitian basis matrix; each column must get the bits of its basis
-    # matrix's own step, and table.dot the C-contiguous table
+    # evolve tabulates its RK4 step from steps of stacks of Hermitian basis
+    # matrices; each column must get the bits of its basis matrix's own
+    # step, and table.dot the C-contiguous table
     model = make()
     dim = model.space.total_dim
     tables = []
@@ -455,16 +455,15 @@ def test_parametric_system_matches_rebuilt_generator():
     ],
     ids=["five-delta", "three-delta", "five-cavity", "two-cavity", "two-atoms"],
 )
-def test_parametric_residual_is_true_residual(monkeypatch, field, scheme, params, values):
+def test_parametric_residual_is_true_residual(field, scheme, params, values):
     # the residual reuses the closure built at v = 0 and is computed for a
-    # whole block at once; it must still be the true max|L(rho)| of the
+    # slice of values at once; it must still be the true max|L(rho)| of the
     # model rebuilt at v, not a re-check of the system's own diagonal update
     builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
     params = replace(params, **{field: 0.0})
     model = builder(params)
     step = scan_operator(params, field, scheme)
     system = ParametricSteadyState(model, step)
-    monkeypatch.setattr(liouville, "_BLOCK_ROWS", len(values) * model.space.total_dim ** 2)
     for value, solution in zip(values, system.solve_each(values), strict=True):
         assert solution.converged
         shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
@@ -476,7 +475,7 @@ def _system_matrix(system, value):
     """The trace-replaced system at ``value`` as stored: in its fill-reducing order."""
     size = system.model.space.total_dim ** 2
     data = system._base + value * system._step
-    data[system._trace] = max(1.0, system._head_max, float(np.abs(data).max()))
+    data[system._trace] = max(system._scale_floor, float(np.abs(data).max()))
     return sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
 
 
@@ -522,23 +521,26 @@ def _parametric_system(field, scheme, params):
 
 
 @_BLOCK_CASES
-def test_block_solve_is_the_per_point_solve(monkeypatch, field, scheme, params, values):
-    # a block-diagonal LU and the lockstep condition estimate give every
-    # value the bits of its own one-point solve
+def test_block_solve_is_the_per_point_solve(field, scheme, params, values):
+    # a sweep's base values get the bits of their own one-point solve: the
+    # value nearest the window's midpoint when one base LU serves the sweep,
+    # every value when the update's rank is above the limit (two atoms).
+    # The other values are held to their own LUs by
+    # test_every_point_matches_its_own_one_point_lu.
     system = _parametric_system(field, scheme, params)
-    size = system.model.space.total_dim ** 2
-    per_block = 2 if params.n_atoms == 2 else 3
-    monkeypatch.setattr(liouville, "_BLOCK_ROWS", per_block * size)
-    blocked = list(system.solve_each(values))
-    monkeypatch.setattr(liouville, "_BLOCK_ROWS", 1)
-    single = list(system.solve_each(values))
-    assert len(blocked) == len(single) == len(values) > per_block
-    for value, block, alone in zip(values, blocked, single):
-        assert np.array_equal(block.rho.matrix, alone.rho.matrix)
-        assert block.residual_norm == alone.residual_norm
-        assert block.tolerance == alone.tolerance
-        cond = block.diagnostics.condition_estimate
-        assert cond == alone.diagnostics.condition_estimate == _one_point_solve(system, value)[1]
+    middle = 0.5 * (min(values) + max(values))
+    one_base = system._support.size <= liouville._ONE_BASE_MAX_RANK
+    assert one_base == (params.n_atoms != 2)
+    bases = [min(values, key=lambda v: abs(v - middle))] if one_base else list(values)
+    swept = dict(zip(values, system.solve_each(values), strict=True))
+    for value in bases:
+        solution, (alone,) = swept[value], system.solve_each([value])
+        assert np.array_equal(solution.rho.matrix, alone.rho.matrix)
+        assert solution.residual_norm == alone.residual_norm
+        assert solution.tolerance == alone.tolerance
+        cond = solution.diagnostics.condition_estimate
+        assert cond == alone.diagnostics.condition_estimate
+        assert cond == pytest.approx(_one_point_solve(system, value)[1], rel=1e-14)
 
 
 _WINDOW = np.linspace(-0.9, 1.7, 7)
@@ -584,31 +586,23 @@ def test_unrelaxed_lu_matches_superlu_default_relaxation(field, scheme, params, 
         assert solution.diagnostics.condition_estimate == pytest.approx(cond, rel=1e-10)
 
 
-def test_block_lu_backward_error_on_the_default_window(monkeypatch):
+def test_block_lu_backward_error_on_the_default_window():
     # threshold pivoting bounds element growth more loosely than partial
     # pivoting; the scaled backward error max|Ax - b| / (max|A| max|x|) of
-    # every block solve of the default one-atom window stays at rounding
-    # level (2.1e-16 at most, against 1.8e-16 with partial pivoting)
+    # the LU of every system of the default one-atom window, the base of a
+    # sweep or of a single solve, stays at rounding level (2.1e-16 at most,
+    # against 1.8e-16 with partial pivoting)
     system = _parametric_system("delta", "five", PhysicsParams())
-    size = system.model.space.total_dim ** 2
-    factor = liouville.splu
     errors = []
-
-    def checked(matrix, **options):
-        lu = factor(matrix, **options)
-        # the right-hand side of the solve: each point's trace row scale
-        rows = np.arange(0, matrix.shape[0], size) + system._position[0]
+    for value in np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, DEFAULT_SWEEP_POINTS):
+        matrix = _system_matrix(system, value)
+        lu = splu(matrix, permc_spec="NATURAL", relax=liouville._SUPERNODE_RELAX,
+                  diag_pivot_thresh=liouville._DIAG_PIVOT_THRESH)
+        # the right-hand side of the solve: the trace row's scale
         rhs = np.zeros(matrix.shape[0], dtype=complex)
-        rhs[rows] = matrix.diagonal()[rows]
+        rhs[system._position[0]] = matrix.diagonal()[system._position[0]]
         x = lu.solve(rhs)
-        scale = np.abs(matrix.data).max() * np.abs(x).max()
-        errors.append(np.abs(matrix @ x - rhs).max() / scale)
-        return lu
-
-    monkeypatch.setattr(liouville, "splu", checked)
-    window = np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, DEFAULT_SWEEP_POINTS)
-    assert len(list(system.solve_each(window))) == DEFAULT_SWEEP_POINTS
-    assert len(errors) == math.ceil(DEFAULT_SWEEP_POINTS / (liouville._BLOCK_ROWS // size))
+        errors.append(np.abs(matrix @ x - rhs).max() / (np.abs(matrix.data).max() * np.abs(x).max()))
     assert max(errors) <= 1e-15
 
 
@@ -737,17 +731,18 @@ def test_block_solve_warns_once_per_near_degenerate_value_in_order():
 
 def test_non_finite_condition_estimate_is_singular(monkeypatch):
     # a NaN estimate fails every comparison, so it must not pass as healthy;
-    # the point before it in the block is still yielded
+    # the point before it is still yielded.  The NaN falls on the base value
+    # 0.0, whose own LU is the one that serves it, so it is the verdict.
     estimate = liouville._inverse_one_norms
 
     def nan_at_second_point(lu, points, size):
         norms = estimate(lu, points, size)
-        norms[1] = np.nan
+        if points > 1:
+            norms[1] = np.nan
         return norms
 
     monkeypatch.setattr(liouville, "_inverse_one_norms", nan_at_second_point)
     system = _parametric_system("delta", "five", PhysicsParams())
-    monkeypatch.setattr(liouville, "_BLOCK_ROWS", 3 * system.model.space.total_dim ** 2)
     solutions = system.solve_each([-0.5, 0.0, 0.5])
     first = next(solutions)
     assert first.converged and not first.diagnostics.near_degenerate
@@ -756,8 +751,72 @@ def test_non_finite_condition_estimate_is_singular(monkeypatch):
     assert math.isnan(caught.value.condition_estimate)
 
 
+def _factor_count(monkeypatch):
+    """A list that grows by one entry per sparse LU the package factors."""
+    factors, factor = [], liouville.splu
+    monkeypatch.setattr(liouville, "splu", lambda *args, **kwargs: (
+        factors.append(None) or factor(*args, **kwargs)))
+    return factors
+
+
+@pytest.mark.parametrize(
+    "patch, lus",
+    [
+        (None, 1),
+        # a non-base value whose estimate through the update is not finite
+        ("nan-estimate", 2),
+        # a base whose estimate reads near-degenerate serves only itself
+        ("base-warned", 1 + 5),
+        ("ill-conditioned-eigenvectors", 1 + 5),
+        ("rank-above-limit", 5),
+    ],
+    ids=["one-base", "nan-estimate", "base-warned", "ill-conditioned-eigenvectors",
+         "rank-above-limit"],
+)
+def test_a_value_the_base_cannot_serve_gets_its_own_lu(monkeypatch, patch, lus):
+    # every value that the base LU does not serve is solved as a single
+    # solve, with that solve's bits, and the others stay within rounding of it
+    system = _parametric_system("delta", "five", PhysicsParams())
+    values = [-0.9, -0.2, 0.4, 1.0, 1.7]
+    single = [next(system.solve_each([value])) for value in values]
+    estimate = liouville._inverse_one_norms
+    if patch == "nan-estimate":
+        def nan_at_first_point(lu, points, size):
+            norms = estimate(lu, points, size)
+            if points > 1:
+                norms[0] = np.nan
+            return norms
+        monkeypatch.setattr(liouville, "_inverse_one_norms", nan_at_first_point)
+    elif patch == "base-warned":
+        calls = []
+
+        def base_warned(lu, points, size):
+            # the sweep's first estimate is its base's
+            calls.append(points)
+            return estimate(lu, points, size) * (1e10 if len(calls) == 1 else 1.0)
+        monkeypatch.setattr(liouville, "_inverse_one_norms", base_warned)
+    elif patch == "ill-conditioned-eigenvectors":
+        monkeypatch.setattr(liouville, "_EIGVEC_COND_MAX", 1.0)
+    elif patch == "rank-above-limit":
+        monkeypatch.setattr(liouville, "_ONE_BASE_MAX_RANK", 71)
+    factors = _factor_count(monkeypatch)
+    swept = list(system.solve_each(values))
+    assert len(factors) == lus
+    own = {"nan-estimate": [-0.9], "base-warned": values,
+           "ill-conditioned-eigenvectors": values, "rank-above-limit": values}.get(patch, [])
+    for value, solution, alone in zip(values, swept, single, strict=True):
+        if value in own or value == 0.4:
+            assert np.array_equal(solution.rho.matrix, alone.rho.matrix)
+            assert solution.residual_norm == alone.residual_norm
+        else:
+            scale = np.max(np.abs(alone.rho.matrix))
+            assert np.max(np.abs(solution.rho.matrix - alone.rho.matrix)) <= 1e-13 * scale
+        assert solution.diagnostics.condition_estimate == pytest.approx(
+            alone.diagnostics.condition_estimate, rel=1e-12)
+
+
 def test_block_raises_a_state_violation_when_its_point_is_yielded(monkeypatch):
-    # a block's states are checked at once, but a point that fails raises
+    # a slice's states are checked at once, but a point that fails raises
     # only when it is yielded, after the points before it
     each = DensityMatrix.each
     violation = ValueError("density matrix not positive: lowest eigenvalue -1.000e-06")
@@ -769,13 +828,13 @@ def test_block_raises_a_state_violation_when_its_point_is_yielded(monkeypatch):
 
     monkeypatch.setattr(DensityMatrix, "each", second_fails)
     system = _parametric_system("delta", "five", PhysicsParams())
-    monkeypatch.setattr(liouville, "_BLOCK_ROWS", 3 * system.model.space.total_dim ** 2)
     solutions = system.solve_each([-0.5, 0.0, 0.5])
     assert next(solutions).converged
     with pytest.raises(SteadyStateConvergenceError) as caught:
         next(solutions)
     assert str(caught.value) == f"solution violates state invariants: {violation}"
     assert caught.value.__cause__ is violation and caught.value.solution is None
+
 
 
 def test_residual_reference_scale_is_the_working_point():

@@ -240,8 +240,9 @@ def test_sweep_builds_and_assembles_once(monkeypatch):
 
 
 def test_sweep_orders_once_and_factors_in_that_order(monkeypatch):
-    # one fill-reducing ordering per system; every block's LU keeps it,
-    # leaves SuperLU's supernodes unrelaxed and prefers diagonal pivots
+    # one fill-reducing ordering per system and, for a one-atom sweep, one
+    # LU at its base value, which keeps that ordering, leaves SuperLU's
+    # supernodes unrelaxed and prefers diagonal pivots
     orderings, specs = [], []
     order = liouville._fill_reducing_position
     factor = liouville.splu
@@ -252,7 +253,7 @@ def test_sweep_orders_once_and_factors_in_that_order(monkeypatch):
         or factor(matrix, permc_spec, relax=relax, diag_pivot_thresh=diag_pivot_thresh)))
     run_sweep(SweepSpec(VAR_TWO_PHOTON, -0.5, 0.5, 9, WORKING_POINT))
     assert len(orderings) == 1
-    assert specs == [("NATURAL", 1, 0.1)] * 3
+    assert specs == [("NATURAL", 1, 0.1)]
 
 
 def test_sweep_checks_the_closed_form_before_solving(monkeypatch):
@@ -286,7 +287,7 @@ def test_sweep_flags_points_missing_tolerance(monkeypatch):
 
 
 def test_sweep_flags_each_point_missing_tolerance_inside_a_block(monkeypatch):
-    # the 7 three-level points (Liouville size 81) share one sparse LU; a
+    # the 7 three-level points (Liouville size 81) share one base LU; a
     # tolerance between their residuals flags exactly the points above it
     spec = SweepSpec(VAR_TWO_PHOTON, -0.9, 1.7, 7, WORKING_POINT, level_scheme="three")
     residuals = [r.residual_norm for r in run_sweep(spec)]
@@ -300,7 +301,8 @@ def test_sweep_flags_each_point_missing_tolerance_inside_a_block(monkeypatch):
 
 def test_sweep_names_a_singular_point_inside_a_block(monkeypatch):
     # H(v) = v*sigma_z with a sigma_x collapse operator is singular at v = 0
-    # only; the block's LU fails, and blocks of one find that point
+    # only, the sweep's base value; its LU fails, and each value's own LU
+    # finds that point
     space = HilbertSpace((2,))
     sigma_x = OperatorMatrix(space, np.array([[0.0, 1.0], [1.0, 0.0]], dtype=complex))
     sigma_z = OperatorMatrix(space, np.diag([1.0, -1.0]).astype(complex))
