@@ -505,14 +505,12 @@ class ParametricSteadyState:
                     condition_estimate=math.inf,
                 ) from exc
             lu = None
-        update = None
-        if not alone:
-            update = None if lu is None else self._update(lu, norm[0])
-            if update is None:
-                # each value its own base, so the first singular one is named exactly
-                for value in values:
-                    yield from self._outcomes(value, [value])
-                return
+        update = None if alone or lu is None else self._update(lu, norm[0])
+        if update is None and not alone:
+            # each value its own base, so the first singular one is named exactly
+            for value in values:
+                yield from self._outcomes(value, [value])
+            return
         for start in range(0, len(values), _SLICE_POINTS):
             chunk = np.array(values[start:start + _SLICE_POINTS])
             points = chunk.size
