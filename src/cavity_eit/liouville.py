@@ -40,6 +40,7 @@ from dataclasses import dataclass
 from typing import NamedTuple
 
 import numpy as np
+import scipy.linalg
 import scipy.sparse as sp
 from scipy.sparse.linalg import spilu, splu
 
@@ -98,17 +99,19 @@ _ONE_BASE_MAX_RANK = 96
 # empty-cavity sweeps (both sweep variables, every level scheme, and the
 # five- and three-level delta sweeps at g = 1e-3, omega_con = 1e-3 and 30,
 # gamma_deph = 0 and kappa = 1e-3; cond(V) 25 to 1.2e5), the estimates
-# differ by at most 1.3e-13 relative, about 1e-18 cond(V), and the states
-# by 1.7e-14.  A backward-stable Schur form instead of V measured as
-# accurate but needs one triangular solve per value and solve, a Python
+# differ by at most 4.8e-13 relative, about 4e-18 cond(V), and the states
+# by 1.7e-14.  The backward-stable Schur form instead of V measured as
+# accurate, but it needs a triangular solve per value and solve, a Python
 # loop over r.
 _EIGVEC_COND_MAX = 1e6
-# Values whose states, checks and estimates one pass of a sweep computes at
-# once.  The default one-atom sweep on a 2-core host, 1 / 2 BLAS threads
-# (medians of 7): 0.17 / 0.22-0.27 s at 4, 0.10 / 0.15-0.19 s at 8, 0.13 /
-# 1.0 s at 16 (SuperLU's solve of 16 right-hand sides runs BLAS kernels on
-# both threads, at ~8 ms a solve there), traced peak 0.8 / 0.9 / 1.2 MB.
-_SLICE_POINTS = 8
+# Liouville rows of the right-hand sides that one pass of a sweep solves at
+# once: a slice of 8 values at size 225, 50 at size 36.  More right-hand
+# sides make SuperLU's solve run BLAS kernels that wake every OpenBLAS
+# thread: 16 of size 225 took ~8 ms a solve at 2 threads against ~0.2 ms
+# for 8.  The default one-atom sweep on a 2-core host at 900 / 1800 / 3600
+# rows: 0.18 / 0.17 / 1.1 s at 2 BLAS threads, 0.16 / 0.16 / 0.13 s at 1
+# (medians of 7); 241-point cavity scans 0.01-0.03 s at each.
+_SLICE_ROWS = 1800
 # SuperLU's supernode relaxation for the sweep LUs: relax=1 leaves every
 # supernode as the pattern makes it, where the default pads small ones with
 # explicit zeros for BLAS kernels.  One LU on a 2-core host, 1 BLAS thread,
@@ -390,8 +393,8 @@ class ParametricSteadyState:
     entries that move.  The states (Hermitian part, trace-normalized), their
     density-matrix checks (:meth:`DensityMatrix.each`, one stacked
     eigendecomposition), their residuals max|L_v(rho)| and their condition
-    estimates (lockstep, through the updated solves) are computed for
-    ``_SLICE_POINTS`` values at a time, the residual from one L(rho) closure
+    estimates (lockstep, through the updated solves) are computed for a
+    slice of values at a time (``_SLICE_ROWS``), the residual from one L(rho) closure
     built at v = 0, applied to the stack of states, plus -i[vG, rho] by
     diagonal products: it never touches the factored system.  Then each
     value raises or warns as a single solve would, in order, as it is
@@ -511,8 +514,10 @@ class ParametricSteadyState:
             for value in values:
                 yield from self._outcomes(value, [value])
             return
-        for start in range(0, len(values), _SLICE_POINTS):
-            chunk = np.array(values[start:start + _SLICE_POINTS])
+        # equal slices, so that no slice of a sweep is one value: BLAS runs a
+        # product with one column as a matrix-vector product, on every thread
+        per_slice = max(1, _SLICE_ROWS // size)
+        for chunk in np.array_split(values, -(-len(values) // per_slice)):
             points = chunk.size
             scales, norms = self._scales_and_norms(chunk)
             solver = _SweepSolver(lu, self._position[0], update, chunk - base, scales / scale)
@@ -547,14 +552,20 @@ class ParametricSteadyState:
         spread = self._diagonal_step[support]
         unit = np.zeros((self._size, rank), dtype=complex, order="F")
         unit[support, np.arange(rank)] = 1.0
-        try:
-            gains, vectors = np.linalg.eig(spread[:, None] * lu.solve(unit)[support])
-            inverse = np.linalg.inv(vectors)
-        except np.linalg.LinAlgError:
-            return None
-        norm = np.abs(vectors).sum(axis=0).max(initial=0.0)
-        if not norm * np.abs(inverse).sum(axis=0).max(initial=0.0) <= _EIGVEC_COND_MAX:
-            return None
+        gram = np.empty((rank, rank), dtype=complex)
+        step = max(1, _SLICE_ROWS // self._size)
+        for start in range(0, rank, step):
+            gram[:, start:start + step] = lu.solve(unit[:, start:start + step])[support]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            gains, vectors = _eig(spread[:, None] * gram)
+            try:
+                inverse = np.linalg.inv(vectors)
+            except np.linalg.LinAlgError:
+                return None
+            cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
+                    * np.abs(inverse).sum(axis=0).max(initial=0.0))
+            if not cond <= _EIGVEC_COND_MAX:
+                return None
         return _Update(support, gains, vectors, inverse * spread)
 
     def _states(
@@ -623,6 +634,45 @@ class ParametricSteadyState:
             diagnostics=diagnostics,
             tolerance=DEFAULT_TOL * max(1.0, scale / L_REF),
         )
+
+
+def _eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and unit right eigenvectors of the square complex ``k``,
+    as np.linalg.eig gives them, without a BLAS matrix-vector product.
+
+    OpenBLAS runs a matrix-vector product of order 64 or more on every
+    thread, and np.linalg.eig runs many in its Hessenberg reduction and
+    its back-transform; on a loaded 2-core host the woken threads slowed a
+    72 x 72 eig and the next ~0.1 s of the process several-fold.  Here the
+    Householder reduction and the back-transform are einsum loops, LAPACK
+    gives the Schur form of the Hessenberg matrix (no product of that size
+    there), and the eigenvectors of its triangular factor come by back
+    substitution.  A repeated eigenvalue gives non-finite eigenvectors.
+    """
+    n = len(k)
+    h = np.array(k, dtype=complex)
+    q = np.eye(n, dtype=complex)
+    for j in range(n - 2):
+        x = h[j + 1:, j]
+        length = math.sqrt(np.einsum("i,i->", x.conj(), x).real)
+        if length == 0.0:
+            continue
+        v = x.copy()
+        v[0] += length * (x[0] / abs(x[0]) if x[0] else 1.0)
+        v /= math.sqrt(np.einsum("i,i->", v.conj(), v).real)
+        # h <- P h P and q <- q P, with P = I - 2 v v^H on indices j+1..n-1
+        h[j + 1:] -= 2.0 * np.multiply.outer(v, np.einsum("i,ij->j", v.conj(), h[j + 1:]))
+        h[:, j + 1:] -= 2.0 * np.multiply.outer(np.einsum("ij,j->i", h[:, j + 1:], v), v.conj())
+        q[:, j + 1:] -= 2.0 * np.multiply.outer(np.einsum("ij,j->i", q[:, j + 1:], v), v.conj())
+    triangle, unitary = scipy.linalg.schur(np.triu(h, -1), output="complex")
+    values = triangle.diagonal().copy()
+    # column m of x solves triangle x = values[m] x with x[m] = 1, x[m+1:] = 0
+    x = np.eye(n, dtype=complex)
+    for i in range(n - 2, -1, -1):
+        x[i, i + 1:] = (np.einsum("j,jm->m", triangle[i, i + 1:], x[i + 1:, i + 1:])
+                        / (values[i + 1:] - values[i]))
+    vectors = np.einsum("ij,jk->ik", np.einsum("ij,jk->ik", q, unitary), x)
+    return values, vectors / np.sqrt(np.einsum("ij,ij->j", vectors.conj(), vectors).real)
 
 
 def _fill_reducing_position(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:

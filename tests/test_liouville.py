@@ -560,9 +560,12 @@ _WINDOW = np.linspace(-0.9, 1.7, 7)
         ("delta", "five", replace(PhysicsParams(), omega_con=30.0), _WINDOW),
         ("delta", "five", replace(PhysicsParams(), gamma_deph=0.0), _WINDOW),
         ("delta", "five", replace(PhysicsParams(), kappa=1e-3), _WINDOW),
+        # no atom: the two-photon detuning moves nothing, an update of rank 0
+        ("delta", "five", replace(PhysicsParams(), n_atoms=0), _WINDOW),
     ],
     ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "three-level-scan",
-         "two-atoms", "g-1e-3", "omega_con-1e-3", "omega_con-30", "gamma_deph-0", "kappa-1e-3"],
+         "two-atoms", "g-1e-3", "omega_con-1e-3", "omega_con-30", "gamma_deph-0", "kappa-1e-3",
+         "empty-cavity-delta"],
 )
 def test_every_point_matches_its_own_one_point_lu(field, scheme, params, values):
     # however a sweep shares its factorizations, each point's state and
@@ -749,6 +752,24 @@ def test_non_finite_condition_estimate_is_singular(monkeypatch):
     with pytest.raises(DegenerateSteadyStateError, match=r"condition ~ nan\)") as caught:
         next(solutions)
     assert math.isnan(caught.value.condition_estimate)
+
+
+def test_eig_of_the_update_is_an_eigendecomposition():
+    # the update's eigendecomposition runs no BLAS matrix-vector product; it
+    # must still give K V = V diag(lam) with unit columns and LAPACK's
+    # eigenvalues, and non-finite vectors for a defective K, which the sweep
+    # rejects through cond(V)
+    rng = np.random.default_rng(7)
+    for n in (1, 2, 6, 36, 72, 96):
+        k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+        values, vectors = liouville._eig(k)
+        assert np.abs(k @ vectors - vectors * values).max() <= 1e-13 * np.abs(k).max()
+        assert np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() <= 1e-14
+        reference = np.linalg.eigvals(k)
+        assert np.abs(values[:, None] - reference).min(axis=1).max() <= 1e-12 * np.abs(k).max()
+    with np.errstate(divide="ignore", invalid="ignore"):
+        _, vectors = liouville._eig(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    assert not np.isfinite(vectors).all()
 
 
 def _factor_count(monkeypatch):
