@@ -99,7 +99,7 @@ _ONE_BASE_MAX_RANK = 96
 # empty-cavity sweeps (both sweep variables, every level scheme, and the
 # five- and three-level delta sweeps at g = 1e-3, omega_con = 1e-3 and 30,
 # gamma_deph = 0 and kappa = 1e-3; cond(V) 25 to 1.2e5), the estimates
-# differ by at most 4.8e-13 relative, about 4e-18 cond(V), and the states
+# differ by at most 7.3e-13 relative, about 6e-18 cond(V), and the states
 # by 1.7e-14.  The backward-stable Schur form instead of V measured as
 # accurate, but it needs a triangular solve per value and solve, a Python
 # loop over r.
@@ -557,11 +557,7 @@ class ParametricSteadyState:
         for start in range(0, rank, step):
             gram[:, start:start + step] = lu.solve(unit[:, start:start + step])[support]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gains, vectors = _eig(spread[:, None] * gram)
-            try:
-                inverse = np.linalg.inv(vectors)
-            except np.linalg.LinAlgError:
-                return None
+            gains, vectors, inverse = _eig(spread[:, None] * gram)
             cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
                     * np.abs(inverse).sum(axis=0).max(initial=0.0))
             if not cond <= _EIGVEC_COND_MAX:
@@ -636,18 +632,19 @@ class ParametricSteadyState:
         )
 
 
-def _eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues and unit right eigenvectors of the square complex ``k``,
-    as np.linalg.eig gives them, without a BLAS matrix-vector product.
+def _eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Eigenvalues lam, unit right eigenvectors V and V^-1 of the square
+    complex ``k``, without a BLAS matrix-vector product.
 
     OpenBLAS runs a matrix-vector product of order 64 or more on every
     thread, and np.linalg.eig runs many in its Hessenberg reduction and
     its back-transform; on a loaded 2-core host the woken threads slowed a
     72 x 72 eig and the next ~0.1 s of the process several-fold.  Here the
-    Householder reduction and the back-transform are einsum loops, LAPACK
-    gives the Schur form of the Hessenberg matrix (no product of that size
-    there), and the eigenvectors of its triangular factor come by back
-    substitution.  A repeated eigenvalue gives non-finite eigenvectors.
+    Householder reduction is an einsum loop, LAPACK gives the Schur form
+    Q T Q^H of the Hessenberg matrix (no product of that size there), and
+    V = Q X D and V^-1 = D^-1 X^-1 Q^H come from the unit upper-triangular
+    eigenvectors X of T by back substitution, D scaling V's columns to unit
+    length.  A repeated eigenvalue gives non-finite V and V^-1.
     """
     n = len(k)
     h = np.array(k, dtype=complex)
@@ -665,14 +662,19 @@ def _eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         h[:, j + 1:] -= 2.0 * np.multiply.outer(np.einsum("ij,j->i", h[:, j + 1:], v), v.conj())
         q[:, j + 1:] -= 2.0 * np.multiply.outer(np.einsum("ij,j->i", q[:, j + 1:], v), v.conj())
     triangle, unitary = scipy.linalg.schur(np.triu(h, -1), output="complex")
+    q = np.einsum("ij,jk->ik", q, unitary)
     values = triangle.diagonal().copy()
-    # column m of x solves triangle x = values[m] x with x[m] = 1, x[m+1:] = 0
+    # column m of x solves triangle x = values[m] x with x[m] = 1, x[m+1:] = 0,
+    # and y = x^-1, both row by row upward
     x = np.eye(n, dtype=complex)
+    y = np.eye(n, dtype=complex)
     for i in range(n - 2, -1, -1):
         x[i, i + 1:] = (np.einsum("j,jm->m", triangle[i, i + 1:], x[i + 1:, i + 1:])
                         / (values[i + 1:] - values[i]))
-    vectors = np.einsum("ij,jk->ik", np.einsum("ij,jk->ik", q, unitary), x)
-    return values, vectors / np.sqrt(np.einsum("ij,ij->j", vectors.conj(), vectors).real)
+        y[i, i + 1:] = -np.einsum("j,jm->m", x[i, i + 1:], y[i + 1:, i + 1:])
+    lengths = np.sqrt(np.einsum("ij,ij->j", x.conj(), x).real)
+    return (values, np.einsum("ij,jk->ik", q, x / lengths),
+            np.einsum("ij,kj->ik", y * lengths[:, None], q.conj()))
 
 
 def _fill_reducing_position(rows: np.ndarray, cols: np.ndarray, size: int) -> np.ndarray:

@@ -756,20 +756,21 @@ def test_non_finite_condition_estimate_is_singular(monkeypatch):
 
 def test_eig_of_the_update_is_an_eigendecomposition():
     # the update's eigendecomposition runs no BLAS matrix-vector product; it
-    # must still give K V = V diag(lam) with unit columns and LAPACK's
+    # must still give K V = V diag(lam) with unit columns, V^-1 and LAPACK's
     # eigenvalues, and non-finite vectors for a defective K, which the sweep
     # rejects through cond(V)
     rng = np.random.default_rng(7)
     for n in (1, 2, 6, 36, 72, 96):
         k = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-        values, vectors = liouville._eig(k)
+        values, vectors, inverse = liouville._eig(k)
         assert np.abs(k @ vectors - vectors * values).max() <= 1e-13 * np.abs(k).max()
         assert np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() <= 1e-14
+        assert np.abs(inverse @ vectors - np.eye(n)).max() <= 1e-13
         reference = np.linalg.eigvals(k)
         assert np.abs(values[:, None] - reference).min(axis=1).max() <= 1e-12 * np.abs(k).max()
     with np.errstate(divide="ignore", invalid="ignore"):
-        _, vectors = liouville._eig(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
-    assert not np.isfinite(vectors).all()
+        _, vectors, inverse = liouville._eig(np.array([[1.0, 1.0], [0.0, 1.0]], dtype=complex))
+    assert not (np.isfinite(vectors).all() and np.isfinite(inverse).all())
 
 
 def _factor_count(monkeypatch):
