@@ -307,7 +307,7 @@ class _Update(NamedTuple):
     """The rank-r step from a base LU of A0 to the system at any value."""
 
     support: np.ndarray  # the r columns E whose diagonal moves, by d
-    gains: np.ndarray  # eigenvalues lam of K = diag(d) E^T A0^-1 E
+    eigenvalues: np.ndarray  # lam of K = diag(d) E^T A0^-1 E
     vectors: np.ndarray  # eigenvectors V of K
     inverse: np.ndarray  # V^-1 diag(d)
 
@@ -327,8 +327,8 @@ class _SweepSolver:
                  ratios: np.ndarray):
         self._lu, self._row, self._update, self._ratios = lu, row, update, ratios
         if update is not None:
-            # (I + tK)^-1 t = V diag(t / (1 + t lam)) V^-1, a column per value
-            self._gains = shifts / (1.0 + np.outer(update.gains, shifts))
+            # (I + tK)^-1 t = V diag(f) V^-1, f = t / (1 + t lam), a column per value
+            self._weights = shifts / (1.0 + np.outer(update.eigenvalues, shifts))
 
     def solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
         x = x.reshape(self._ratios.size, -1)
@@ -338,12 +338,13 @@ class _SweepSolver:
         y = self._lu.solve(x.T, trans=trans)
         u = self._update
         if u is not None:
-            # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), f = t / (1 + t lam),
-            # and its conjugate transpose
+            # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), and its
+            # conjugate transpose
             if trans == "N":
-                step = u.vectors @ (self._gains * (u.inverse @ y[u.support]))
+                step = u.vectors @ (self._weights * (u.inverse @ y[u.support]))
             else:
-                step = u.inverse.conj().T @ (self._gains.conj() * (u.vectors.conj().T @ y[u.support]))
+                step = u.inverse.conj().T @ (
+                    self._weights.conj() * (u.vectors.conj().T @ y[u.support]))
             rhs = x.T.copy(order="F")
             rhs[u.support] -= step
             y = self._lu.solve(rhs, trans=trans)
@@ -557,12 +558,12 @@ class ParametricSteadyState:
         for start in range(0, rank, step):
             gram[:, start:start + step] = lu.solve(unit[:, start:start + step])[support]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            gains, vectors, inverse = _eig(spread[:, None] * gram)
+            eigenvalues, vectors, inverse = _eig(spread[:, None] * gram)
             cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
                     * np.abs(inverse).sum(axis=0).max(initial=0.0))
             if not cond <= _EIGVEC_COND_MAX:
                 return None
-        return _Update(support, gains, vectors, inverse * spread)
+        return _Update(support, eigenvalues, vectors, inverse * spread)
 
     def _states(
         self, values: np.ndarray, vecs: np.ndarray
@@ -855,7 +856,8 @@ def evolve(
         # table runs another BLAS kernel in table.dot, 8e-15 off on the N=1 oracle
         table = np.empty((size, size))
         for start in range(0, size, _TABLE_SLICE):
-            basis = _hermitian_matrix(np.eye(min(_TABLE_SLICE, size - start), size, start), upper, dim)
+            units = np.eye(min(_TABLE_SLICE, size - start), size, start)
+            basis = _hermitian_matrix(units, upper, dim)
             images = _hermitian_coordinates(_rk4_step(apply, basis, step), upper)
             table[:, start:start + len(basis)] = images.T
         coords = _run_steps(
