@@ -551,12 +551,14 @@ class ParametricSteadyState:
         support = self._support
         rank = support.size
         spread = self._diagonal_step[support]
-        unit = np.zeros((self._size, rank), dtype=complex, order="F")
-        unit[support, np.arange(rank)] = 1.0
+        # gram = E^T A0^-1 E, a slice of columns of E at a time
         gram = np.empty((rank, rank), dtype=complex)
         step = max(1, _SLICE_ROWS // self._size)
         for start in range(0, rank, step):
-            gram[:, start:start + step] = lu.solve(unit[:, start:start + step])[support]
+            columns = support[start:start + step]
+            unit = np.zeros((self._size, columns.size), dtype=complex, order="F")
+            unit[columns, np.arange(columns.size)] = 1.0
+            gram[:, start:start + columns.size] = lu.solve(unit)[support]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             eigenvalues, vectors, inverse = _eig(spread[:, None] * gram)
             cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
