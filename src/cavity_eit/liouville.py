@@ -83,15 +83,15 @@ L_REF = 2.842e3
 # Largest rank r of a sweep's diagonal step (the number of Liouville
 # columns whose diagonal moves) for which one base LU serves every value of
 # the sweep (ParametricSteadyState).  Above it every value is its own base.
-# One-atom CSVs must not depend on the BLAS thread count, and the r x r
-# np.linalg.eig and inv of a random complex matrix, with the bundled
-# OpenBLAS 0.3.31 on a 2-core host, keep their bits at 1 and 2 threads for
-# r = 24, 36, 48, 64, 72 and 96 and change them at r = 100, 112, 128, 150
-# and 200 (every product of the update sums over r terms, so only r
-# matters).  Ranks of the sweeps: five-level delta 72 / 128 / 200 at
-# n_max 2 / 3 / 4, three-level delta 36 / 64 / 100, two-level cavity scan
-# 24 / 48 / 80, five-level cavity scan 150 at n_max 2, two atoms 1216 or
-# more.
+# One-atom CSVs must not depend on the BLAS thread count.  With the bundled
+# OpenBLAS 0.3.31 on a 2-core host, 1 against 2 threads, on random complex
+# r x r matrices: np.linalg.eig and inv keep their bits for r = 24, 36, 48,
+# 64, 72 and 96 and change them from r = 100; _eig and the update's r x r
+# products keep them up to r = 128 and change them from 150 (every product
+# of the update sums over r terms, so only r matters).  Ranks of the
+# sweeps: five-level delta 72 / 128 / 200 at n_max 2 / 3 / 4, three-level
+# delta 36 / 64 / 100, two-level cavity scan 24 / 48 / 80, five-level
+# cavity scan 150 at n_max 2, two atoms 1216 or more.
 _ONE_BASE_MAX_RANK = 96
 # Largest 1-norm condition number of the eigenvector matrix V of the update
 # for which the base LU serves a sweep; the update's error grows with it.
