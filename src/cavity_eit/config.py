@@ -44,13 +44,13 @@ class RunConfig(PhysicsParams):
         return tuple(f.name for f in dataclasses.fields(cls))
 
     @classmethod
-    def int_keys(cls) -> set[str]:
+    def _int_keys(cls) -> set[str]:
         return {name for name, kind in get_type_hints(cls).items() if kind is int}
 
     @classmethod
     def from_text(cls, text: str, source: str = "<config>") -> "RunConfig":
         known = set(cls.keys())
-        int_keys = cls.int_keys()
+        int_keys = cls._int_keys()
         values: dict[str, float | int] = {}
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -86,7 +86,7 @@ class RunConfig(PhysicsParams):
     def to_text(self) -> str:
         """The text :meth:`from_text` reads back into an equal config, NumPy
         scalars written as the Python numbers they equal."""
-        int_keys = self.int_keys()
+        int_keys = self._int_keys()
         lines = []
         for name in self.keys():
             value = (int if name in int_keys else float)(getattr(self, name))

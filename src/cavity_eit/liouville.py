@@ -395,11 +395,11 @@ class ParametricSteadyState:
     density-matrix checks (:meth:`DensityMatrix.each`, one stacked
     eigendecomposition), their residuals max|L_v(rho)| and their condition
     estimates (lockstep, through the updated solves) are computed for a
-    slice of values at a time (``_SLICE_ROWS``), the residual from one L(rho) closure
-    built at v = 0, applied to the stack of states, plus -i[vG, rho] by
-    diagonal products: it never touches the factored system.  Then each
-    value raises or warns as a single solve would, in order, as it is
-    yielded, and each solution carries its verdict against the scaled
+    slice of values at a time (``_SLICE_ROWS``), the residual from one
+    L(rho) closure built at v = 0, applied to the stack of states, plus
+    -i[vG, rho] by diagonal products: it never touches the factored system.
+    Then each value raises or warns as a single solve would, in order, as it
+    is yielded, and each solution carries its verdict against the scaled
     tolerance.
     """
 
