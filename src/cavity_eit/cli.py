@@ -29,6 +29,7 @@ import dataclasses
 import json
 import math
 import os
+import re
 import sys
 from datetime import datetime, timezone
 
@@ -293,9 +294,29 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_SIGNED = re.compile(r"-[0-9.]")
+
+
+def _attach_signed_values(argv: list[str]) -> list[str]:
+    """``--option -VALUE`` as ``--option=-VALUE`` where VALUE starts with a
+    digit or a point: argparse takes a separate value that starts with "-"
+    for an option unless it is one plain number, such as ``-1,1`` for
+    ``--nmax-list`` or ``-1e-3`` for ``--start``, and no option here starts
+    with "-" and a digit or a point."""
+    joined = []
+    for arg in argv:
+        last = joined[-1] if joined else ""
+        if last.startswith("--") and "=" not in last and _SIGNED.match(arg):
+            joined[-1] += "=" + arg
+        else:
+            joined.append(arg)
+    return joined
+
+
 def main(argv: list[str] | None = None) -> int:
     try:
-        args = _build_parser().parse_args(argv)
+        args = _build_parser().parse_args(
+            _attach_signed_values(sys.argv[1:] if argv is None else argv))
         return args.func(args)
     except OverflowError as exc:
         # a float power (g**2, omega_con**2) of a huge but finite parameter

@@ -12,8 +12,12 @@ between the two indices of rho, so a sweep over v assembles it once, orders
 it for sparse LU once and, when r is small (one atom), factors it once, at
 one base value: every other value is a rank-r update of that LU
 (Sherman-Morrison-Woodbury, with one r x r eigendecomposition for the whole
-sweep).  The LUs leave SuperLU's supernodes unrelaxed and use threshold
-partial pivoting that keeps the diagonal pivots the stored order assumes.
+sweep).  A sweep with at least as many values as rows, of a small system,
+solves that LU for the dense A0^-1 once and runs its condition estimates
+through it; its states are one solve with the LU, shared, and each value's
+rank-r correction.  The LUs leave SuperLU's supernodes unrelaxed and use
+threshold partial pivoting that keeps the diagonal pivots the stored order
+assumes.
 A value the base cannot serve, and every value of a sweep with large r (two
 atoms), gets its own LU.  States (one stacked eigendecomposition),
 residuals and condition estimates are computed for a slice of values at
@@ -56,12 +60,14 @@ from .hilbert import DensityMatrix, HilbertSpace, OperatorMatrix
 SUPEROP_DIM_CAP = 20000
 DEFAULT_TOL = 1e-9
 TRACE_DRIFT_LIMIT = 1e-6
-# evolve tabulates its RK4 step as a dense real matrix up to this Liouville
-# size (the table is then at most 2 MB).  One table step against one closure
+# Largest Liouville size for which a size x size dense matrix stands in for
+# the sparse operator it tabulates: evolve's RK4 step (real, at most 2 MB)
+# and the A0^-1 and A0^-H of a one-base sweep with at least as many values
+# as rows (complex, at most 4 MB each).  One table step against one closure
 # step on a 2-core host, 1 and 2 BLAS threads: 7-9 vs 81-84 us at size 225,
 # 19-26 vs 63-86 us at 400, 157-268 vs 96 us at 900, 1.2-2.3 vs 0.25 ms at
 # 2500.
-_TABULATE_MAX_SIZE = 512
+_DENSE_MAX_SIZE = 512
 # Basis matrices per closure step when evolve tabulates its RK4 step, so
 # that the step's stacks stay small; the table's bits do not depend on it.
 # Traced peak of evolve (table and 2 steps) at N=1, n_max 2 (size 225, table
@@ -105,13 +111,24 @@ _ONE_BASE_MAX_RANK = 96
 # loop over r.
 _EIGVEC_COND_MAX = 1e6
 # Liouville rows of the right-hand sides that one pass of a sweep solves at
-# once: a slice of 8 values at size 225, 50 at size 36.  More right-hand
-# sides make SuperLU's solve run BLAS kernels that wake every OpenBLAS
-# thread: 16 of size 225 took ~8 ms a solve at 2 threads against ~0.2 ms
-# for 8.  The default one-atom sweep on a 2-core host at 900 / 1800 / 3600
-# rows: 0.18 / 0.17 / 1.1 s at 2 BLAS threads, 0.16 / 0.16 / 0.13 s at 1
-# (medians of 7); 241-point cavity scans 0.01-0.03 s at each.
+# once: a slice of 8 values at size 225, 50 at size 36; and of the unit
+# columns per solve when a base LU gives A0^-1 E, or all of A0^-1 for the
+# dense probes (29 solves of 8 at size 225).  More right-hand sides make
+# SuperLU's solve run BLAS kernels that wake every OpenBLAS thread: 16 of
+# size 225 took ~8 ms a solve at 2 threads against ~0.2 ms for 8.  The
+# default one-atom sweep on a 2-core host at 900 / 1800 / 3600 rows: 0.18 /
+# 0.17 / 1.1 s at 2 BLAS threads, 0.16 / 0.16 / 0.13 s at 1 (medians of 7,
+# before the dense probes); 241-point cavity scans 0.01-0.03 s at each.
 _SLICE_ROWS = 1800
+# Fewest values in one pass of a sweep through the dense probes.  At size 225
+# their products wake every OpenBLAS thread whatever the slice, so larger
+# slices only save passes; at 36 and 9 rows _SLICE_ROWS gives more values
+# anyway (50 and 200), whose products wake no thread.  Default window, one
+# eit-sweep call with both engines on a 2-core host at the default threads
+# (medians of 20 calls, 5 runs each): 0.075-0.107 s in slices of 8 values,
+# 0.060-0.072 s in 22, 0.057-0.082 s in 33, 0.059-0.085 s in 44, 0.058-0.086
+# s in 66, 0.097 s in one slice of 261.
+_DENSE_SLICE_VALUES = 32
 # SuperLU's supernode relaxation for the sweep LUs: relax=1 leaves every
 # supernode as the pattern makes it, where the default pads small ones with
 # explicit zeros for BLAS kernels.  One LU on a 2-core host, 1 BLAS thread,
@@ -310,6 +327,9 @@ class _Update(NamedTuple):
     eigenvalues: np.ndarray  # lam of K = diag(d) E^T A0^-1 E
     vectors: np.ndarray  # eigenvectors V of K
     inverse: np.ndarray  # V^-1 diag(d)
+    # on a long sweep of a small system, "N": (A0^-1, A0^-1 E) and
+    # "H": (A0^-H, A0^-H E) as dense matrices; else None
+    probes: dict[str, tuple[np.ndarray, np.ndarray]] | None
 
 
 class _SweepSolver:
@@ -320,7 +340,9 @@ class _SweepSolver:
 
     ``lu`` factors the base A0, ``shifts`` are t = v - v0, and R_v scales
     the trace row ``row`` by ``ratios``.  Without an update it is the base
-    LU's own solve, as for a value that is its own base.
+    LU's own solve, as for a value that is its own base.  With the update's
+    dense probes a solve is one dense product and the rank-r correction
+    (:meth:`corrected`), else two solves with the base LU.
     """
 
     def __init__(self, lu, row: int, update: _Update | None, shifts: np.ndarray,
@@ -335,23 +357,34 @@ class _SweepSolver:
         if trans == "N":
             x = x.copy()
             x[:, self._row] /= self._ratios
-        y = self._lu.solve(x.T, trans=trans)
         u = self._update
-        if u is not None:
-            # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), and its
-            # conjugate transpose
-            if trans == "N":
-                step = u.vectors @ (self._weights * (u.inverse @ y[u.support]))
-            else:
-                step = u.inverse.conj().T @ (
-                    self._weights.conj() * (u.vectors.conj().T @ y[u.support]))
-            rhs = x.T.copy(order="F")
-            rhs[u.support] -= step
-            y = self._lu.solve(rhs, trans=trans)
+        if u is not None and u.probes is not None:
+            y = self.corrected(u.probes[trans][0] @ x.T, trans)
+        else:
+            y = self._lu.solve(x.T, trans=trans)
+            if u is not None:
+                rhs = x.T.copy(order="F")
+                rhs[u.support] -= self._step(y, trans)
+                y = self._lu.solve(rhs, trans=trans)
         y = y.T
         if trans != "N":
             y[:, self._row] /= self._ratios
         return y.reshape(-1)
+
+    def corrected(self, y: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(A0 + t E diag(d) E^T)^-1 b, a column per value, from y = A0^-1 b
+        through the dense probes, or with ``trans`` "H" its conjugate
+        transpose's from y = A0^-H b: y minus (A0^-1 E) step, exactly y at
+        the base, where the step is zero."""
+        return y - self._update.probes[trans][1] @ self._step(y, trans)
+
+    def _step(self, y: np.ndarray, trans: str) -> np.ndarray:
+        # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), and its
+        # conjugate transpose
+        u = self._update
+        if trans == "N":
+            return u.vectors @ (self._weights * (u.inverse @ y[u.support]))
+        return u.inverse.conj().T @ (self._weights.conj() * (u.vectors.conj().T @ y[u.support]))
 
 
 class ParametricSteadyState:
@@ -382,10 +415,18 @@ class ParametricSteadyState:
     the whole sweep (Laub's frequency-response method):
     (A0 + t E diag(d) E^T)^-1 b = A0^-1 (b - E V diag(f) V^-1 diag(d) E^T
     A0^-1 b) with f = t / (1 + t lam), two solves with the base LU and
-    r x r products, and its conjugate transpose likewise.  Above that rank
-    every value is its own base.  A value whose system the base cannot
-    serve gets its own LU, as a single solve: all of them when the base
-    fails to factor, its estimate exceeds ``_COND_WARN`` or cond(V) exceeds
+    r x r products, and its conjugate transpose likewise.  A sweep with at
+    least as many values as rows, of Liouville size at most
+    ``_DENSE_MAX_SIZE``, instead solves the base LU for every unit vector,
+    ``_SLICE_ROWS`` rows at a time, keeps A0^-1 and A0^-H, and reads
+    E^T A0^-1 E, A0^-1 E and A0^-H E from them: each estimator probe is
+    one dense product and the correction y - (A0^-1 E) step.  Its right-hand
+    sides are all scale e_row once R_v is divided out, so its states are one
+    solve with the base LU, shared, and each value's correction; the base
+    keeps its own LU's estimate.  Above ``_ONE_BASE_MAX_RANK`` every value
+    is its own base.  A value whose system the base cannot serve gets its
+    own LU, as a single solve: all of them when the base fails to factor,
+    its estimate exceeds ``_COND_WARN`` or cond(V) exceeds
     ``_EIGVEC_COND_MAX``, and any one whose estimate is not finite or
     exceeds ``_COND_WARN``.  So every warning and singular verdict comes
     from the LU a single solve uses, and a value that is its own base (v =
@@ -491,7 +532,7 @@ class ParametricSteadyState:
     def _outcomes(self, base: float, values: list[float]) -> Iterator[tuple]:
         """The arguments of :meth:`_solution` for each of ``values``, in order,
         from the LU at ``base`` where it serves, else from each value's own."""
-        size = self._size
+        size, row = self._size, self._position[0]
         scale, norm = self._scales_and_norms(np.array([base]))
         data = self._base + base * self._step
         data[self._trace] = scale
@@ -509,22 +550,42 @@ class ParametricSteadyState:
                     condition_estimate=math.inf,
                 ) from exc
             lu = None
-        update = None if alone or lu is None else self._update(lu, norm[0])
+        update = None
+        if not alone and lu is not None:
+            # the base serves other values only if its own estimate is healthy
+            solver = _SweepSolver(lu, row, None, np.zeros(1), np.ones(1))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                base_cond = norm[0] * _inverse_one_norms(solver, 1, size)[0]
+            if base_cond <= _COND_WARN:
+                update = self._update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
         if update is None and not alone:
             # each value its own base, so the first singular one is named exactly
             for value in values:
                 yield from self._outcomes(value, [value])
             return
+        shared = None
+        if update is not None and update.probes is not None:
+            # with R_v divided out every value's right-hand side is scale
+            # e_row, so one solve serves every state through the correction
+            rhs = np.zeros(size, dtype=complex)
+            rhs[row] = scale[0]
+            shared = lu.solve(rhs)[:, None]
         # equal slices, so that no slice of a sweep is one value: BLAS runs a
         # product with one column as a matrix-vector product, on every thread
         per_slice = max(1, _SLICE_ROWS // size)
+        if shared is not None:
+            per_slice = max(per_slice, _DENSE_SLICE_VALUES)
         for chunk in np.array_split(values, -(-len(values) // per_slice)):
             points = chunk.size
             scales, norms = self._scales_and_norms(chunk)
-            solver = _SweepSolver(lu, self._position[0], update, chunk - base, scales / scale)
-            rhs = np.zeros((points, size), dtype=complex)
-            rhs[:, self._position[0]] = scales
-            vecs = solver.solve(rhs.reshape(-1)).reshape(points, size)[:, self._position]
+            solver = _SweepSolver(lu, row, update, chunk - base, scales / scale)
+            if shared is None:
+                rhs = np.zeros((points, size), dtype=complex)
+                rhs[:, row] = scales
+                vecs = solver.solve(rhs.reshape(-1)).reshape(points, size)
+            else:
+                vecs = solver.corrected(shared).T
+            vecs = vecs[:, self._position]
             finite = np.isfinite(vecs).all(axis=1)
             # a point whose state or estimate is not finite gets its own LU
             # or raises on its own check below, in order, so overflow here
@@ -532,6 +593,9 @@ class ParametricSteadyState:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 conds = norms * _inverse_one_norms(solver, points, size)
                 states, residuals = self._states(chunk, vecs)
+            if shared is not None:
+                # the dense probes round otherwise than the LU's solves
+                conds[chunk == base] = base_cond
             for p, value in enumerate(chunk.tolist()):
                 if value != base and not (finite[p] and conds[p] <= _COND_WARN):
                     yield from self._outcomes(value, [value])
@@ -539,33 +603,33 @@ class ParametricSteadyState:
                     yield (states[p], float(residuals[p]), bool(finite[p]), float(conds[p]),
                            float(scales[p]))
 
-    def _update(self, lu, norm: float) -> _Update | None:
-        """The rank-r update from the LU at a base, of 1-norm ``norm``, to
-        every value, or None when the base cannot serve other values: its
-        condition estimate is not finite or exceeds ``_COND_WARN``, or the
-        eigenvectors of K are too ill-conditioned to carry the update."""
-        solver = _SweepSolver(lu, self._position[0], None, np.zeros(1), np.ones(1))
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if not norm * _inverse_one_norms(solver, 1, self._size)[0] <= _COND_WARN:
-                return None
-        support = self._support
-        rank = support.size
+    def _update(self, lu, dense: bool) -> _Update | None:
+        """The rank-r update from the LU at a base to every value, with the
+        dense probes if ``dense``, or None when the eigenvectors of K are
+        too ill-conditioned to carry it."""
+        size, support = self._size, self._support
         spread = self._diagonal_step[support]
-        # gram = E^T A0^-1 E, a slice of columns of E at a time
-        gram = np.empty((rank, rank), dtype=complex)
-        step = max(1, _SLICE_ROWS // self._size)
-        for start in range(0, rank, step):
-            columns = support[start:start + step]
-            unit = np.zeros((self._size, columns.size), dtype=complex, order="F")
-            unit[columns, np.arange(columns.size)] = 1.0
-            gram[:, start:start + columns.size] = lu.solve(unit)[support]
+        # A0^-1 E, or all of A0^-1 if dense, a slice of unit columns at a time
+        columns = np.arange(size) if dense else support
+        solved = np.empty((size, columns.size), dtype=complex, order="F")
+        step = max(1, _SLICE_ROWS // size)
+        for start in range(0, columns.size, step):
+            unit = np.zeros((size, min(step, columns.size - start)), dtype=complex, order="F")
+            unit[columns[start:start + step], np.arange(unit.shape[1])] = 1.0
+            solved[:, start:start + unit.shape[1]] = lu.solve(unit)
+        probes = None
+        if dense:
+            hermitian = solved.conj().T
+            probes = {"N": (solved, solved[:, support]), "H": (hermitian, hermitian[:, support])}
+            solved = solved[:, support]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            eigenvalues, vectors, inverse = _eig(spread[:, None] * gram)
+            # K = diag(d) E^T A0^-1 E
+            eigenvalues, vectors, inverse = _eig(spread[:, None] * solved[support])
             cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
                     * np.abs(inverse).sum(axis=0).max(initial=0.0))
             if not cond <= _EIGVEC_COND_MAX:
                 return None
-        return _Update(support, eigenvalues, vectors, inverse * spread)
+        return _Update(support, eigenvalues, vectors, inverse * spread, probes)
 
     def _states(
         self, values: np.ndarray, vecs: np.ndarray
@@ -824,7 +888,7 @@ def evolve(
     L is linear and time-independent, so a step, :func:`_rk4_step` on the
     closure of :func:`_apply_factory`, is one fixed real-linear map of the
     Hermitian coordinates of rho.  Up to Liouville size
-    ``_TABULATE_MAX_SIZE`` that map is tabulated once, from steps of the
+    ``_DENSE_MAX_SIZE`` that map is tabulated once, from steps of the
     Hermitian basis matrices, ``_TABLE_SLICE`` at a time, and every step is one real
     matrix-vector product; above it each step runs the closure on a
     one-point stack and is re-Hermitized.
@@ -852,7 +916,7 @@ def evolve(
     dim = model.space.total_dim
     rho = np.array(rho0.matrix[None], dtype=complex)
     size = dim * dim
-    if size <= _TABULATE_MAX_SIZE:
+    if size <= _DENSE_MAX_SIZE:
         upper = np.triu_indices(dim, 1)
         # column b is the image of basis matrix b, C-contiguous: a transposed
         # table runs another BLAS kernel in table.dot, 8e-15 off on the N=1 oracle

@@ -287,21 +287,23 @@ def test_converge_rejects_bad_list(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, message",
     [
-        ["cavity-scan", "--atoms", "5", "--out", "{out}"],
-        ["cavity-scan", "--points", "abc", "--out", "{out}"],
-        ["converge", "--nmax-list", "-1,1", "--out", "{out}"],
-        ["eit-sweep", "--deterministic"],
-        [],
+        (["cavity-scan", "--atoms", "5", "--out", "{out}"], None),
+        (["cavity-scan", "--points", "abc", "--out", "{out}"], None),
+        # a value that starts with "-" is still the value of --nmax-list
+        (["converge", "--nmax-list", "-1,1", "--out", "{out}"],
+         "n_max must be an integer of at least 1, got -1"),
+        (["eit-sweep", "--deterministic"], None),
+        ([], None),
         # a 4e-9 MHz step at 1000 MHz is finer than the 12 digits written
-        ["cavity-scan", "--atoms", "0", "--start", "1000", "--stop", "1000.000001",
-         "--points", "241", "--deterministic", "--out", "{out}"],
+        (["cavity-scan", "--atoms", "0", "--start", "1000", "--stop", "1000.000001",
+          "--points", "241", "--deterministic", "--out", "{out}"], None),
     ],
     ids=["atoms-5", "points-abc", "nmax-list-negative", "missing-out", "no-subcommand",
          "grid-finer-than-written"],
 )
-def test_bad_arguments_exit_with_error_record(tmp_path, argv):
+def test_bad_arguments_exit_with_error_record(tmp_path, argv, message):
     out = tmp_path / "o.csv"
     status, stdout, stderr = _run_cli([arg.format(out=out) for arg in argv])
     assert status == 2
@@ -310,7 +312,21 @@ def test_bad_arguments_exit_with_error_record(tmp_path, argv):
     record = _strict_json(line)
     assert set(record) == {"error", "message"}
     assert record["error"] == "ConfigError"
+    if message is not None:
+        assert record["message"] == message
     assert not out.exists()
+
+
+def test_a_value_that_starts_with_a_minus_is_the_option_value(tmp_path):
+    # argparse alone reads "-1e-3" as an option, though "=-1e-3" as a value
+    outputs = []
+    for start in (["--start", "-1e-3"], ["--start=-1e-3"]):
+        out = tmp_path / f"scan{len(outputs)}.csv"
+        assert main(["cavity-scan", "--atoms", "0", *start, "--stop", "1", "--points", "5",
+                     "--out", str(out), "--deterministic"]) == 0
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+    assert _read_rows(tmp_path / "scan0.csv")[1][0][0] == "-0.001"
 
 
 def test_help_exits_zero(capsys):
@@ -627,15 +643,19 @@ def _sweep_at_blas_threads(out, threads, *args, command=("eit-sweep", "--engine"
 
 def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
     # byte identity must not hinge on how many threads the BLAS starts: the
-    # default one-atom sweep (update rank 72), and the two-level cavity scan
-    # at n_max 4, whose rank 80 is the largest of a one-atom sweep that one
-    # base LU serves
+    # default one-atom sweep (update rank 72), the two-level cavity scan at
+    # n_max 4, whose rank 80 is the largest of a one-atom sweep that one base
+    # LU serves, and two sweeps with at least as many values as rows, which
+    # probe through the dense A0^-1 on every BLAS thread: only sums over the
+    # rank may reach a CSV column
     config = tmp_path / "two_level.cfg"
     config.write_text("n_max = 4\n", encoding="utf-8")
     runs = {
         "default": (("--config", small_config), {}),
         "two-level": (("--config", str(config), "--atoms", "1", "--start", "-2", "--stop", "2",
                        "--points", "9"), {"command": ("cavity-scan",)}),
+        "dense-two-level": (("--atoms", "1", "--points", "41"), {"command": ("cavity-scan",)}),
+        "dense-default-window": ((), {"command": ("eit-sweep",)}),
     }
     for name, (args, options) in runs.items():
         outputs = [

@@ -501,17 +501,23 @@ def _one_point_solve(system, value, relax=liouville._SUPERNODE_RELAX,
     return rho / np.trace(rho).real, anorm * float(onenormest(inverse, t=1))
 
 
-_BLOCK_CASES = pytest.mark.parametrize(
-    "field, scheme, params, values",
-    [
-        ("delta", "five", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
-        ("delta", "three", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
-        ("delta_p_cav", "five", replace(PhysicsParams(), n_atoms=0), np.linspace(-3.0, 3.0, 7)),
-        ("delta_p_cav", "two", PhysicsParams(), np.linspace(-3.0, 3.0, 7)),
-        ("delta", "five", replace(PhysicsParams(), n_atoms=2, n_max=1), (0.0, 0.75, 1.5)),
-    ],
-    ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "two-atoms"],
-)
+_DEFAULT_WINDOW = np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, DEFAULT_SWEEP_POINTS)
+# one-base sweeps with at least as many values as rows, which probe through
+# the base LU's dense inverse: sizes 36, 9 and 225
+_DENSE_CASES = [
+    ("delta_p_cav", "two", PhysicsParams(), np.linspace(-3.0, 3.0, 41)),
+    ("delta_p_cav", "five", replace(PhysicsParams(), n_atoms=0), np.linspace(-3.0, 3.0, 13)),
+    ("delta", "five", PhysicsParams(), _DEFAULT_WINDOW),
+]
+_DENSE_IDS = ["dense-two-level-scan", "dense-empty-cavity-scan", "dense-default-window"]
+_BLOCK_CASES = [
+    ("delta", "five", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
+    ("delta", "three", PhysicsParams(), np.linspace(-0.9, 1.7, 7)),
+    ("delta_p_cav", "five", replace(PhysicsParams(), n_atoms=0), np.linspace(-3.0, 3.0, 7)),
+    ("delta_p_cav", "two", PhysicsParams(), np.linspace(-3.0, 3.0, 7)),
+    ("delta", "five", replace(PhysicsParams(), n_atoms=2, n_max=1), (0.0, 0.75, 1.5)),
+]
+_BLOCK_IDS = ["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "two-atoms"]
 
 
 def _parametric_system(field, scheme, params):
@@ -520,7 +526,8 @@ def _parametric_system(field, scheme, params):
     return ParametricSteadyState(builder(params), scan_operator(params, field, scheme))
 
 
-@_BLOCK_CASES
+@pytest.mark.parametrize("field, scheme, params, values", _BLOCK_CASES + _DENSE_CASES,
+                         ids=_BLOCK_IDS + _DENSE_IDS)
 def test_block_solve_is_the_per_point_solve(field, scheme, params, values):
     # a sweep's base values get the bits of their own one-point solve: the
     # value nearest the window's midpoint when one base LU serves the sweep,
@@ -562,10 +569,11 @@ _WINDOW = np.linspace(-0.9, 1.7, 7)
         ("delta", "five", replace(PhysicsParams(), kappa=1e-3), _WINDOW),
         # no atom: the two-photon detuning moves nothing, an update of rank 0
         ("delta", "five", replace(PhysicsParams(), n_atoms=0), _WINDOW),
+        *_DENSE_CASES,
     ],
     ids=["five-delta", "three-delta", "empty-cavity-scan", "two-level-scan", "three-level-scan",
          "two-atoms", "g-1e-3", "omega_con-1e-3", "omega_con-30", "gamma_deph-0", "kappa-1e-3",
-         "empty-cavity-delta"],
+         "empty-cavity-delta", *_DENSE_IDS],
 )
 def test_every_point_matches_its_own_one_point_lu(field, scheme, params, values):
     # however a sweep shares its factorizations, each point's state and
@@ -577,7 +585,7 @@ def test_every_point_matches_its_own_one_point_lu(field, scheme, params, values)
         assert solution.diagnostics.condition_estimate == pytest.approx(cond, rel=1e-10)
 
 
-@_BLOCK_CASES
+@pytest.mark.parametrize("field, scheme, params, values", _BLOCK_CASES, ids=_BLOCK_IDS)
 def test_unrelaxed_lu_matches_superlu_default_relaxation(field, scheme, params, values):
     # the block LUs leave SuperLU's supernodes unrelaxed and prefer diagonal
     # pivots; every state and estimate must be that of an LU with SuperLU's
@@ -597,7 +605,7 @@ def test_block_lu_backward_error_on_the_default_window():
     # against 1.8e-16 with partial pivoting)
     system = _parametric_system("delta", "five", PhysicsParams())
     errors = []
-    for value in np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, DEFAULT_SWEEP_POINTS):
+    for value in _DEFAULT_WINDOW:
         matrix = _system_matrix(system, value)
         lu = splu(matrix, permc_spec="NATURAL", relax=liouville._SUPERNODE_RELAX,
                   diag_pivot_thresh=liouville._DIAG_PIVOT_THRESH)
@@ -781,6 +789,77 @@ def _factor_count(monkeypatch):
     return factors
 
 
+def _solve_count(monkeypatch):
+    """A list that grows by one entry per solve with a sparse LU the package factors."""
+    solves, factor = [], liouville.splu
+
+    class Counted:
+        def __init__(self, lu):
+            self._lu = lu
+
+        def solve(self, *args, **kwargs):
+            solves.append(None)
+            return self._lu.solve(*args, **kwargs)
+
+    monkeypatch.setattr(liouville, "splu", lambda *args, **kwargs: Counted(factor(*args, **kwargs)))
+    return solves
+
+
+@pytest.mark.parametrize(
+    "points, dense_max, dense",
+    [
+        (DEFAULT_SWEEP_POINTS, liouville._DENSE_MAX_SIZE, True),
+        (224, liouville._DENSE_MAX_SIZE, False),
+        (DEFAULT_SWEEP_POINTS, 224, False),
+    ],
+    ids=["default-window", "fewer-values-than-rows", "system-above-dense-bound"],
+)
+def test_a_long_sweep_of_a_small_system_probes_through_the_dense_inverse(
+        monkeypatch, points, dense_max, dense):
+    # a one-base sweep with at least as many values as its 225 rows, of
+    # Liouville size at most _DENSE_MAX_SIZE, solves its one LU for A0^-1, a
+    # slice of unit columns at a time, then only as its base's single solve
+    # does (the estimate and the state): every other probe is a dense
+    # product, and every state the correction of the base's.  Through two
+    # solves per probe the default window took 343 solves.
+    monkeypatch.setattr(liouville, "_DENSE_MAX_SIZE", dense_max)
+    system = _parametric_system("delta", "five", PhysicsParams())
+    values = np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, points)
+    middle = 0.5 * (values[0] + values[-1])
+    modes, update = [], ParametricSteadyState._update
+    monkeypatch.setattr(ParametricSteadyState, "_update",
+                        lambda self, lu, dense: modes.append(dense) or update(self, lu, dense))
+    factors = _factor_count(monkeypatch)
+    solves = _solve_count(monkeypatch)
+    next(system.solve_each([min(values, key=lambda v: abs(v - middle))]))
+    single = len(solves)
+    solves.clear()
+    factors.clear()
+    list(system.solve_each(values))
+    assert modes == [dense] and len(factors) == 1
+    if dense:
+        size = system._size
+        assert len(solves) == -(-size // (liouville._SLICE_ROWS // size)) + single <= 40
+    else:
+        assert len(solves) > 100
+
+
+def test_a_dense_sweep_keeps_its_base_estimate_from_its_own_lu(monkeypatch):
+    # the dense probes round otherwise than the LU's solves, so a sweep that
+    # probes through them keeps its base's estimate from the base's own LU:
+    # a change to the estimates through the probes reaches every value but
+    # the base
+    system = _parametric_system("delta_p_cav", "two", PhysicsParams())
+    values = np.linspace(-3.0, 3.0, 41)
+    reference = [s.diagnostics.condition_estimate for s in system.solve_each(values)]
+    estimate = liouville._inverse_one_norms
+    monkeypatch.setattr(liouville, "_inverse_one_norms", lambda lu, points, size: (
+        estimate(lu, points, size) * (2.0 if points > 1 else 1.0)))
+    for value, solution, cond in zip(values, system.solve_each(values), reference, strict=True):
+        expected = cond if value == 0.0 else 2.0 * cond
+        assert solution.diagnostics.condition_estimate == expected
+
+
 @pytest.mark.parametrize(
     "patch, lus",
     [
@@ -955,7 +1034,7 @@ def test_evolve_detects_instability_when_stepping_the_closure():
     # size 2500, above the tabulation limit, so every step runs the closure
     model = build_model(replace(PhysicsParams(), n_atoms=2, n_max=1))
     dim = model.space.total_dim
-    assert dim * dim > liouville._TABULATE_MAX_SIZE
+    assert dim * dim > liouville._DENSE_MAX_SIZE
     rho0 = DensityMatrix(model.space, _random_density(np.random.default_rng(3), dim))
     with pytest.raises(IntegrationInstabilityError):
         evolve(model, rho0, 1.0, dt=0.05)
@@ -983,12 +1062,12 @@ def test_tabulated_and_closure_steps_agree_property(model, seed):
     # every model here has size <= 225, so evolve tabulates its step unless
     # the limit is patched to 0
     dim = model.space.total_dim
-    assert dim * dim <= liouville._TABULATE_MAX_SIZE
+    assert dim * dim <= liouville._DENSE_MAX_SIZE
     rho0 = DensityMatrix(model.space, _random_density(np.random.default_rng(seed), dim))
     dt = stable_timestep(model)
     tabulated = evolve(model, rho0, 50 * dt, dt=dt)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(liouville, "_TABULATE_MAX_SIZE", 0)
+        patch.setattr(liouville, "_DENSE_MAX_SIZE", 0)
         stepped = evolve(model, rho0, 50 * dt, dt=dt)
     reference = _reference_rk4(model, rho0.matrix, 50 * dt, dt)
     assert trace_distance(tabulated, stepped) <= 1e-12
