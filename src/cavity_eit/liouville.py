@@ -12,16 +12,16 @@ between the two indices of rho, so a sweep over v assembles it once, orders
 it for sparse LU once and, when r is small (one atom), factors it once, at
 one base value: every other value is a rank-r update of that LU
 (Sherman-Morrison-Woodbury, with one r x r eigendecomposition for the whole
-sweep).  A sweep with at least as many values as rows, of a small system,
-solves that LU for the dense A0^-1 once and runs its condition estimates
-through it; its states are one solve with the LU, shared, and each value's
-rank-r correction.  The LUs leave SuperLU's supernodes unrelaxed and use
-threshold partial pivoting that keeps the diagonal pivots the stored order
-assumes.
+sweep).  Every base solves its state once; each value's state is that
+solve passed through its rank-r correction (none at the base itself).  A
+sweep with at least as many values as rows, of a small system, solves that
+LU for the dense A0^-1 once and runs its condition estimates through it.
+The LUs leave SuperLU's supernodes unrelaxed and use threshold partial
+pivoting that keeps the diagonal pivots the stored order assumes.
 A value the base cannot serve, and every value of a sweep with large r (two
 atoms), gets its own LU.  States (one stacked eigendecomposition),
 residuals and condition estimates are computed for a slice of values at
-once.
+once, one column per value.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model from
@@ -68,12 +68,6 @@ TRACE_DRIFT_LIMIT = 1e-6
 # 19-26 vs 63-86 us at 400, 157-268 vs 96 us at 900, 1.2-2.3 vs 0.25 ms at
 # 2500.
 _DENSE_MAX_SIZE = 512
-# Basis matrices per closure step when evolve tabulates its RK4 step, so
-# that the step's stacks stay small; the table's bits do not depend on it.
-# Traced peak of evolve (table and 2 steps) at N=1, n_max 2 (size 225, table
-# 0.41 MB): 5.54 MB stepping all 225 at once, 3.45 / 2.18 / 1.40 / 0.91 MB
-# in slices of 128 / 64 / 32 / 16, at 6-14 ms a call for every slice size.
-_TABLE_SLICE = 16
 
 # Conditioning of the balanced trace-replaced system: healthy solves sit
 # around 1e4..1e6 here; values beyond _COND_WARN signal a near-degenerate
@@ -111,14 +105,17 @@ _ONE_BASE_MAX_RANK = 96
 # loop over r.
 _EIGVEC_COND_MAX = 1e6
 # Liouville rows of the right-hand sides that one pass of a sweep solves at
-# once: a slice of 8 values at size 225, 50 at size 36; and of the unit
-# columns per solve when a base LU gives A0^-1 E, or all of A0^-1 for the
-# dense probes (29 solves of 8 at size 225).  More right-hand sides make
-# SuperLU's solve run BLAS kernels that wake every OpenBLAS thread: 16 of
-# size 225 took ~8 ms a solve at 2 threads against ~0.2 ms for 8.  The
-# default one-atom sweep on a 2-core host at 900 / 1800 / 3600 rows: 0.18 /
-# 0.17 / 1.1 s at 2 BLAS threads, 0.16 / 0.16 / 0.13 s at 1 (medians of 7,
-# before the dense probes); 241-point cavity scans 0.01-0.03 s at each.
+# once: a slice of 8 values at size 225, 50 at size 36; of the unit columns
+# per solve when a base LU gives A0^-1 E, or all of A0^-1 for the dense
+# probes (29 solves of 8 at size 225); and of the basis matrices per closure
+# step when evolve tabulates its RK4 step (8 at size 225, the same table
+# bits as 16 with a traced peak of 0.68 against 0.94 MB per N=1 evolve).
+# More right-hand sides make SuperLU's solve run BLAS kernels that wake
+# every OpenBLAS thread: 16 of size 225 took ~8 ms a solve at 2 threads
+# against ~0.2 ms for 8.  The default one-atom sweep on a 2-core host at
+# 900 / 1800 / 3600 rows: 0.18 / 0.17 / 1.1 s at 2 BLAS threads, 0.16 /
+# 0.16 / 0.13 s at 1 (medians of 7, before the dense probes); 241-point
+# cavity scans 0.01-0.03 s at each.
 _SLICE_ROWS = 1800
 # Fewest values in one pass of a sweep through the dense probes.  At size 225
 # their products wake every OpenBLAS thread whatever the slice, so larger
@@ -334,15 +331,13 @@ class _Update(NamedTuple):
 
 class _SweepSolver:
     """``solve(x, trans)`` with the systems A(v) = R_v (A0 + t E diag(d) E^T)
-    of a slice of values, their right-hand sides stacked in the rows of the
-    flat ``x``, as :func:`_inverse_one_norms` calls it; ``trans`` is "N"
-    or "H".
+    of a slice of values, one column of ``x`` per value, SuperLU's layout,
+    as :func:`_inverse_one_norms` calls it; ``trans`` is "N" or "H".
 
     ``lu`` factors the base A0, ``shifts`` are t = v - v0, and R_v scales
-    the trace row ``row`` by ``ratios``.  Without an update it is the base
-    LU's own solve, as for a value that is its own base.  With the update's
-    dense probes a solve is one dense product and the rank-r correction
-    (:meth:`corrected`), else two solves with the base LU.
+    the trace row ``row`` by ``ratios``.  A solve is the base's (one dense
+    product through the update's probes, else one solve with ``lu``)
+    followed by :meth:`corrected`.
     """
 
     def __init__(self, lu, row: int, update: _Update | None, shifts: np.ndarray,
@@ -353,30 +348,33 @@ class _SweepSolver:
             self._weights = shifts / (1.0 + np.outer(update.eigenvalues, shifts))
 
     def solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
-        x = x.reshape(self._ratios.size, -1)
         if trans == "N":
             x = x.copy()
-            x[:, self._row] /= self._ratios
+            x[self._row] /= self._ratios
         u = self._update
         if u is not None and u.probes is not None:
-            y = self.corrected(u.probes[trans][0] @ x.T, trans)
+            y = u.probes[trans][0] @ x
         else:
-            y = self._lu.solve(x.T, trans=trans)
-            if u is not None:
-                rhs = x.T.copy(order="F")
-                rhs[u.support] -= self._step(y, trans)
-                y = self._lu.solve(rhs, trans=trans)
-        y = y.T
+            y = self._lu.solve(x, trans=trans)
+        y = self.corrected(y, x, trans)
         if trans != "N":
-            y[:, self._row] /= self._ratios
-        return y.reshape(-1)
+            y[self._row] /= self._ratios
+        return y
 
-    def corrected(self, y: np.ndarray, trans: str = "N") -> np.ndarray:
-        """(A0 + t E diag(d) E^T)^-1 b, a column per value, from y = A0^-1 b
-        through the dense probes, or with ``trans`` "H" its conjugate
-        transpose's from y = A0^-H b: y minus (A0^-1 E) step, exactly y at
-        the base, where the step is zero."""
-        return y - self._update.probes[trans][1] @ self._step(y, trans)
+    def corrected(self, y: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
+        """(A0 + t E diag(d) E^T)^-1 b, a column per value (one column of b
+        may serve them all), from y = A0^-1 b, or with ``trans`` "H" its
+        conjugate transpose's from y = A0^-H b: y itself without an update,
+        y minus (A0^-1 E) step through the dense probes, else one solve with
+        the base LU of b minus E step.  The step is zero at the base."""
+        u = self._update
+        if u is None:
+            return y
+        if u.probes is not None:
+            return y - u.probes[trans][1] @ self._step(y, trans)
+        rhs = np.broadcast_to(b, y.shape).copy()
+        rhs[u.support] -= self._step(y, trans)
+        return self._lu.solve(rhs, trans=trans)
 
     def _step(self, y: np.ndarray, trans: str) -> np.ndarray:
         # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), and its
@@ -414,21 +412,22 @@ class ParametricSteadyState:
     K = V diag(lam) V^-1 of the r x r matrix K = diag(d) E^T A0^-1 E for
     the whole sweep (Laub's frequency-response method):
     (A0 + t E diag(d) E^T)^-1 b = A0^-1 (b - E V diag(f) V^-1 diag(d) E^T
-    A0^-1 b) with f = t / (1 + t lam), two solves with the base LU and
-    r x r products, and its conjugate transpose likewise.  A sweep with at
+    A0^-1 b) with f = t / (1 + t lam), and its conjugate transpose
+    likewise.  Once R_v is divided out, every value's right-hand side is
+    scale e_row, so every base solves its state once, and each value's
+    state is that solve through :meth:`_SweepSolver.corrected`: itself at
+    the base, else one more solve with the base LU, or, in a sweep with at
     least as many values as rows, of Liouville size at most
-    ``_DENSE_MAX_SIZE``, instead solves the base LU for every unit vector,
-    ``_SLICE_ROWS`` rows at a time, keeps A0^-1 and A0^-H, and reads
-    E^T A0^-1 E, A0^-1 E and A0^-H E from them: each estimator probe is
-    one dense product and the correction y - (A0^-1 E) step.  Its right-hand
-    sides are all scale e_row once R_v is divided out, so its states are one
-    solve with the base LU, shared, and each value's correction; the base
-    keeps its own LU's estimate.  Above ``_ONE_BASE_MAX_RANK`` every value
-    is its own base.  A value whose system the base cannot serve gets its
-    own LU, as a single solve: all of them when the base fails to factor,
-    its estimate exceeds ``_COND_WARN`` or cond(V) exceeds
-    ``_EIGVEC_COND_MAX``, and any one whose estimate is not finite or
-    exceeds ``_COND_WARN``.  So every warning and singular verdict comes
+    ``_DENSE_MAX_SIZE``, the product y - (A0^-1 E) step.  Such a sweep
+    solves the base LU for every unit vector, ``_SLICE_ROWS`` rows at a
+    time, keeps A0^-1 and A0^-H, and reads E^T A0^-1 E, A0^-1 E and A0^-H E
+    from them, so each estimator probe is one dense product and the
+    correction; its base keeps its own LU's estimate.  Above
+    ``_ONE_BASE_MAX_RANK`` every value is its own base.  A value whose
+    system the base cannot serve gets its own LU, as a single solve: all of
+    them when the base fails to factor, its estimate exceeds ``_COND_WARN``
+    or cond(V) exceeds ``_EIGVEC_COND_MAX``, and any one whose estimate is
+    not finite or exceeds ``_COND_WARN``.  So every warning and singular verdict comes
     from the LU a single solve uses, and a value that is its own base (v =
     0 in :func:`steady_state`) gets exactly that solve's bits.
     Each value's scale and 1-norm are read from the diagonal, the only
@@ -563,29 +562,23 @@ class ParametricSteadyState:
             for value in values:
                 yield from self._outcomes(value, [value])
             return
-        shared = None
-        if update is not None and update.probes is not None:
-            # with R_v divided out every value's right-hand side is scale
-            # e_row, so one solve serves every state through the correction
-            rhs = np.zeros(size, dtype=complex)
-            rhs[row] = scale[0]
-            shared = lu.solve(rhs)[:, None]
+        dense = update is not None and update.probes is not None
+        # with R_v divided out every value's right-hand side is scale e_row,
+        # so one solve with the base LU serves every state
+        rhs = np.zeros((size, 1), dtype=complex)
+        rhs[row] = scale
+        shared = lu.solve(rhs)
         # equal slices, so that no slice of a sweep is one value: BLAS runs a
         # product with one column as a matrix-vector product, on every thread
         per_slice = max(1, _SLICE_ROWS // size)
-        if shared is not None:
+        if dense:
             per_slice = max(per_slice, _DENSE_SLICE_VALUES)
         for chunk in np.array_split(values, -(-len(values) // per_slice)):
             points = chunk.size
             scales, norms = self._scales_and_norms(chunk)
             solver = _SweepSolver(lu, row, update, chunk - base, scales / scale)
-            if shared is None:
-                rhs = np.zeros((points, size), dtype=complex)
-                rhs[:, row] = scales
-                vecs = solver.solve(rhs.reshape(-1)).reshape(points, size)
-            else:
-                vecs = solver.corrected(shared).T
-            vecs = vecs[:, self._position]
+            # the shared solve repeated, a column per value, for the same reason
+            vecs = solver.corrected(np.repeat(shared, points, axis=1), rhs).T[:, self._position]
             finite = np.isfinite(vecs).all(axis=1)
             # a point whose state or estimate is not finite gets its own LU
             # or raises on its own check below, in order, so overflow here
@@ -593,7 +586,7 @@ class ParametricSteadyState:
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 conds = norms * _inverse_one_norms(solver, points, size)
                 states, residuals = self._states(chunk, vecs)
-            if shared is not None:
+            if dense:
                 # the dense probes round otherwise than the LU's solves
                 conds[chunk == base] = base_cond
             for p, value in enumerate(chunk.tolist()):
@@ -763,45 +756,45 @@ def _fill_reducing_position(rows: np.ndarray, cols: np.ndarray, size: int) -> np
 
 def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
     """||A_p^-1||_1 estimates for ``points`` systems A_p, each of order
-    ``size``, that ``lu.solve(x, trans)`` solves with their right-hand sides
-    stacked in the rows of the flat ``x`` (``trans`` "N" for A_p, "H" for
-    A_p^H): a sweep's updated solves, or the LU of a block-diagonal matrix.
+    ``size``, that ``lu.solve(x, trans)`` solves with one column of ``x``
+    per system, SuperLU's layout (``trans`` "N" for A_p, "H" for A_p^H): a
+    slice of a sweep's values through :class:`_SweepSolver`.
 
     Hager's estimator as refined by Higham (LAPACK's gecon method; Higham
     and Tisseur's block algorithm with one column, which draws no random
     probes), run for every system in lockstep: each iteration is one
-    stacked solve with A and one with A^H, and a system stops on its own
-    tests while the others go on.  At most 5 iterations, as in scipy's
+    solve with A and one with A^H, and a system stops on its own tests
+    while the others go on.  At most 5 iterations, as in scipy's
     ``onenormest``.
     """
     itmax = 5
-    rows = np.arange(points)
-    x = np.full((points, size), 1.0 / size, dtype=complex)
+    columns = np.arange(points)
+    x = np.full((size, points), 1.0 / size, dtype=complex)
     estimate = np.zeros(points)
     active = np.ones(points, dtype=bool)
     for k in range(1, itmax + 2):
-        y = lu.solve(x.reshape(-1)).reshape(points, size)
-        norms = np.abs(y).sum(axis=1)
+        y = lu.solve(x)
+        norms = np.abs(y).sum(axis=0)
         if k >= 2:
             active &= norms > estimate
         estimate[active] = norms[active]
         if k > itmax or not active.any():
             break
-        signs = y.copy()
+        signs = np.copy(y)
         signs[signs == 0] = 1
         signs /= np.abs(signs)
         if k >= 2:
             # a sign vector repeats (np.dot, unconjugated, as the reference does)
-            active &= [np.dot(s, t) != size for s, t in zip(signs, previous)]
+            active &= [np.dot(s, t) != size for s, t in zip(signs.T, previous.T)]
         previous = signs
-        z = np.abs(lu.solve(signs.reshape(-1), trans="H").reshape(points, size))
+        z = np.abs(lu.solve(signs, trans="H"))
         if k >= 2:
-            active &= z.max(axis=1) != z[rows, best]
+            active &= z.max(axis=0) != z[best, columns]
         if not active.any():
             break
-        best = np.argsort(z, axis=1)[:, -1]
-        x = np.zeros((points, size), dtype=complex)
-        x[rows, best] = 1.0
+        best = np.argsort(z, axis=0)[-1]
+        x = np.zeros((size, points), dtype=complex)
+        x[best, columns] = 1.0
     return estimate
 
 
@@ -889,9 +882,9 @@ def evolve(
     closure of :func:`_apply_factory`, is one fixed real-linear map of the
     Hermitian coordinates of rho.  Up to Liouville size
     ``_DENSE_MAX_SIZE`` that map is tabulated once, from steps of the
-    Hermitian basis matrices, ``_TABLE_SLICE`` at a time, and every step is one real
-    matrix-vector product; above it each step runs the closure on a
-    one-point stack and is re-Hermitized.
+    Hermitian basis matrices, ``_SLICE_ROWS`` rows at a time, and every
+    step is one real matrix-vector product; above it each step runs the
+    closure on a one-point stack and is re-Hermitized.
     The state is trace-renormalized after every step; a per-step trace drift
     beyond 1e-6 (or a non-finite state) aborts with an instability error
     suggesting a smaller step, and so does a final state that fails the
@@ -921,8 +914,9 @@ def evolve(
         # column b is the image of basis matrix b, C-contiguous: a transposed
         # table runs another BLAS kernel in table.dot, 8e-15 off on the N=1 oracle
         table = np.empty((size, size))
-        for start in range(0, size, _TABLE_SLICE):
-            units = np.eye(min(_TABLE_SLICE, size - start), size, start)
+        per_slice = max(1, _SLICE_ROWS // size)
+        for start in range(0, size, per_slice):
+            units = np.eye(min(per_slice, size - start), size, start)
             basis = _hermitian_matrix(units, upper, dim)
             images = _hermitian_coordinates(_rk4_step(apply, basis, step), upper)
             table[:, start:start + len(basis)] = images.T

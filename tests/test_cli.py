@@ -645,13 +645,18 @@ def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
     # byte identity must not hinge on how many threads the BLAS starts: the
     # default one-atom sweep (update rank 72), the two-level cavity scan at
     # n_max 4, whose rank 80 is the largest of a one-atom sweep that one base
-    # LU serves, and two sweeps with at least as many values as rows, which
+    # LU serves, two sweeps with at least as many values as rows, which
     # probe through the dense A0^-1 on every BLAS thread: only sums over the
-    # rank may reach a CSV column
+    # rank may reach a CSV column; and the five-level sweep at n_max 3,
+    # Liouville size 400, a LU per value.  At n_max 4 (size 625) SuperLU's
+    # own factors change with the thread count.
     config = tmp_path / "two_level.cfg"
     config.write_text("n_max = 4\n", encoding="utf-8")
+    size_400 = tmp_path / "size_400.cfg"
+    size_400.write_text("n_max = 3\nn_points = 5\n", encoding="utf-8")
     runs = {
         "default": (("--config", small_config), {}),
+        "size-400": (("--config", str(size_400)), {}),
         "two-level": (("--config", str(config), "--atoms", "1", "--start", "-2", "--stop", "2",
                        "--points", "9"), {"command": ("cavity-scan",)}),
         "dense-two-level": (("--atoms", "1", "--points", "41"), {"command": ("cavity-scan",)}),
