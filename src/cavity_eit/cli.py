@@ -30,6 +30,7 @@ import json
 import math
 import os
 import re
+import stat
 import sys
 from datetime import datetime, timezone
 
@@ -78,18 +79,23 @@ def _load_config(path: str | None) -> RunConfig:
 @contextlib.contextmanager
 def _output(path: str, deterministic: bool):
     """Open an output CSV before any solve, headed with a timestamp unless
-    ``deterministic``; a command that fails leaves no partial file."""
+    ``deterministic``; a command that fails leaves no partial file.  Only a
+    regular file is removed: a pipe or a device stays where it is."""
     try:
         handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
+    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     try:
         with handle:
             if not deterministic:
                 handle.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
             yield handle
     except BaseException:
-        os.remove(path)
+        if regular:
+            # the command's own error is the record, not a failed removal
+            with contextlib.suppress(OSError):
+                os.remove(path)
         raise
 
 

@@ -31,9 +31,7 @@ class RunConfig(PhysicsParams):
 
     def __post_init__(self):
         super().__post_init__()
-        if not self.start < self.stop:
-            raise ConfigError("sweep window needs start < stop")
-        SweepSpec.check_n_points(self.n_points)
+        SweepSpec.check_window(self.start, self.stop, self.n_points)
 
     def params(self) -> PhysicsParams:
         values = {name: getattr(self, name) for name in _PARAM_FIELDS}

@@ -83,15 +83,15 @@ L_REF = 2.842e3
 # Largest rank r of a sweep's diagonal step (the number of Liouville
 # columns whose diagonal moves) for which one base LU serves every value of
 # the sweep (ParametricSteadyState).  Above it every value is its own base.
-# One-atom CSVs must not depend on the BLAS thread count.  With the bundled
+# One-atom CSVs must not depend on the BLAS thread count, and the update
+# reaches them through _eig and its r x r products.  With the bundled
 # OpenBLAS 0.3.31 on a 2-core host, 1 against 2 threads, on random complex
-# r x r matrices: np.linalg.eig and inv keep their bits for r = 24, 36, 48,
-# 64, 72 and 96 and change them from r = 100; _eig and the update's r x r
-# products keep them up to r = 128 and change them from 150 (every product
-# of the update sums over r terms, so only r matters).  Ranks of the
-# sweeps: five-level delta 72 / 128 / 200 at n_max 2 / 3 / 4, three-level
-# delta 36 / 64 / 100, two-level cavity scan 24 / 48 / 80, five-level
-# cavity scan 150 at n_max 2, two atoms 1216 or more.
+# r x r matrices, both keep their bits up to r = 128 and change them from
+# r = 150 (every product of the update sums over r terms, so only r
+# matters).  96 is below that bound; a larger limit needs its own timing.
+# Ranks of the sweeps: five-level delta 72 / 128 / 200 at n_max 2 / 3 / 4,
+# three-level delta 36 / 64 / 100, two-level cavity scan 24 / 48 / 80,
+# five-level cavity scan 150 at n_max 2, two atoms 1216 or more.
 _ONE_BASE_MAX_RANK = 96
 # Largest 1-norm condition number of the eigenvector matrix V of the update
 # for which the base LU serves a sweep; the update's error grows with it.
@@ -199,15 +199,6 @@ class SteadyStateSolution:
     @property
     def converged(self) -> bool:
         return self.residual_norm <= self.tolerance
-
-
-def vectorize(mat: np.ndarray) -> np.ndarray:
-    """Column-stacking vec()."""
-    return np.asarray(mat).reshape(-1, order="F")
-
-
-def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
-    return np.asarray(vec).reshape((dim, dim), order="F")
 
 
 def _apply_factory(model: LindbladModel):
@@ -340,20 +331,18 @@ class _SweepSolver:
     followed by :meth:`corrected`.
     """
 
-    def __init__(self, lu, row: int, update: _Update | None, shifts: np.ndarray,
-                 ratios: np.ndarray):
+    def __init__(self, lu, row: int, update: _Update, shifts: np.ndarray, ratios: np.ndarray):
         self._lu, self._row, self._update, self._ratios = lu, row, update, ratios
-        if update is not None:
-            # (I + tK)^-1 t = V diag(f) V^-1, f = t / (1 + t lam), a column per value
-            self._weights = shifts / (1.0 + np.outer(update.eigenvalues, shifts))
+        # (I + tK)^-1 t = V diag(f) V^-1, f = t / (1 + t lam), a column per value
+        self._weights = shifts / (1.0 + np.outer(update.eigenvalues, shifts))
 
     def solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
         if trans == "N":
             x = x.copy()
             x[self._row] /= self._ratios
-        u = self._update
-        if u is not None and u.probes is not None:
-            y = u.probes[trans][0] @ x
+        probes = self._update.probes
+        if probes is not None:
+            y = probes[trans][0] @ x
         else:
             y = self._lu.solve(x, trans=trans)
         y = self.corrected(y, x, trans)
@@ -364,12 +353,10 @@ class _SweepSolver:
     def corrected(self, y: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
         """(A0 + t E diag(d) E^T)^-1 b, a column per value (one column of b
         may serve them all), from y = A0^-1 b, or with ``trans`` "H" its
-        conjugate transpose's from y = A0^-H b: y itself without an update,
-        y minus (A0^-1 E) step through the dense probes, else one solve with
-        the base LU of b minus E step.  The step is zero at the base."""
+        conjugate transpose's from y = A0^-H b: y minus (A0^-1 E) step
+        through the dense probes, else one solve with the base LU of b minus
+        E step.  The step is zero at the base."""
         u = self._update
-        if u is None:
-            return y
         if u.probes is not None:
             return y - u.probes[trans][1] @ self._step(y, trans)
         rhs = np.broadcast_to(b, y.shape).copy()
@@ -414,10 +401,11 @@ class ParametricSteadyState:
     (A0 + t E diag(d) E^T)^-1 b = A0^-1 (b - E V diag(f) V^-1 diag(d) E^T
     A0^-1 b) with f = t / (1 + t lam), and its conjugate transpose
     likewise.  Once R_v is divided out, every value's right-hand side is
-    scale e_row, so every base solves its state once, and each value's
-    state is that solve through :meth:`_SweepSolver.corrected`: itself at
-    the base, else one more solve with the base LU, or, in a sweep with at
-    least as many values as rows, of Liouville size at most
+    scale e_row, so every base solves its state once.  A value that is its
+    own base takes that solve and its LU's estimate: the LU alone is its
+    single solve.  Every other value's state is that solve through
+    :meth:`_SweepSolver.corrected`: one more solve with the base LU, or, in
+    a sweep with at least as many values as rows, of Liouville size at most
     ``_DENSE_MAX_SIZE``, the product y - (A0^-1 E) step.  Such a sweep
     solves the base LU for every unit vector, ``_SLICE_ROWS`` rows at a
     time, keeps A0^-1 and A0^-H, and reads E^T A0^-1 E, A0^-1 E and A0^-H E
@@ -427,9 +415,8 @@ class ParametricSteadyState:
     system the base cannot serve gets its own LU, as a single solve: all of
     them when the base fails to factor, its estimate exceeds ``_COND_WARN``
     or cond(V) exceeds ``_EIGVEC_COND_MAX``, and any one whose estimate is
-    not finite or exceeds ``_COND_WARN``.  So every warning and singular verdict comes
-    from the LU a single solve uses, and a value that is its own base (v =
-    0 in :func:`steady_state`) gets exactly that solve's bits.
+    not finite or exceeds ``_COND_WARN``.  So every warning and singular
+    verdict comes from the LU a single solve uses.
     Each value's scale and 1-norm are read from the diagonal, the only
     entries that move.  The states (Hermitian part, trace-normalized), their
     density-matrix checks (:meth:`DensityMatrix.each`, one stacked
@@ -480,16 +467,14 @@ class ParametricSteadyState:
         # index k = i + j*dim of vec(rho)
         k = np.argsort(position)
         columns = np.repeat(np.arange(size), np.diff(system.indptr))
-        on_diagonal = system.indices == columns
-        self._step = np.zeros_like(self._base)
-        self._step[on_diagonal] = 1j * (g[k // dim] - g[k % dim])
         # the entries that move with v: each column's diagonal (zero in the
         # trace row) and the trace row's scale
-        self._diagonal = self._base[on_diagonal]
-        self._diagonal_step = self._step[on_diagonal]
+        self._on_diagonal = system.indices == columns
+        self._diagonal = self._base[self._on_diagonal]
+        self._diagonal_step = 1j * (g[k // dim] - g[k % dim])
         self._support = np.flatnonzero(self._diagonal_step)
         fixed = np.abs(self._base)
-        fixed[on_diagonal] = 0.0
+        fixed[self._on_diagonal] = 0.0
         self._fixed_sums = np.add.reduceat(fixed, system.indptr[:-1])
         self._traced = np.zeros(size)
         self._traced[columns[self._trace]] = 1.0
@@ -533,7 +518,8 @@ class ParametricSteadyState:
         from the LU at ``base`` where it serves, else from each value's own."""
         size, row = self._size, self._position[0]
         scale, norm = self._scales_and_norms(np.array([base]))
-        data = self._base + base * self._step
+        data = self._base.copy()
+        data[self._on_diagonal] = self._diagonal + base * self._diagonal_step
         data[self._trace] = scale
         alone = len(values) == 1
         try:
@@ -549,25 +535,32 @@ class ParametricSteadyState:
                     condition_estimate=math.inf,
                 ) from exc
             lu = None
-        update = None
-        if not alone and lu is not None:
-            # the base serves other values only if its own estimate is healthy
-            solver = _SweepSolver(lu, row, None, np.zeros(1), np.ones(1))
+        if lu is not None:
+            # with R_v divided out every value's right-hand side is scale e_row,
+            # so one solve with the base LU serves every state
+            rhs = np.zeros((size, 1), dtype=complex)
+            rhs[row] = scale
+            shared = lu.solve(rhs)
+            # the LU alone is the base value's single solve, whose state and
+            # estimate raise in _solution if not finite, so overflow is no warning
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                base_cond = norm[0] * _inverse_one_norms(solver, 1, size)[0]
-            if base_cond <= _COND_WARN:
-                update = self._update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
-        if update is None and not alone:
+                base_cond = norm[0] * _inverse_one_norms(lu, 1, size)[0]
+                if alone:
+                    states, residuals = self._states(np.array(values), shared.T[:, self._position])
+        if alone:
+            yield (states[0], float(residuals[0]), bool(np.isfinite(shared).all()),
+                   float(base_cond), float(scale[0]))
+            return
+        # the base serves other values only if its own estimate is healthy
+        update = None
+        if lu is not None and base_cond <= _COND_WARN:
+            update = self._update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
+        if update is None:
             # each value its own base, so the first singular one is named exactly
             for value in values:
                 yield from self._outcomes(value, [value])
             return
-        dense = update is not None and update.probes is not None
-        # with R_v divided out every value's right-hand side is scale e_row,
-        # so one solve with the base LU serves every state
-        rhs = np.zeros((size, 1), dtype=complex)
-        rhs[row] = scale
-        shared = lu.solve(rhs)
+        dense = update.probes is not None
         # equal slices, so that no slice of a sweep is one value: BLAS runs a
         # product with one column as a matrix-vector product, on every thread
         per_slice = max(1, _SLICE_ROWS // size)
@@ -889,9 +882,14 @@ def evolve(
     beyond 1e-6 (or a non-finite state) aborts with an instability error
     suggesting a smaller step, and so does a final state that fails the
     DensityMatrix checks: a step can push a zero eigenvalue of rho below
-    -1e-8.  This integrator exists as a verification oracle for the
-    steady-state solver and deliberately avoids the vectorized-generator
-    code path, the table included.
+    -1e-8.  The default step, :func:`stable_timestep`, is a stability bound,
+    not an accuracy bound, so that check can fail over short times from a
+    rank-deficient rho0: from the half-g1, half-g2 ground mixture with an
+    empty cavity (five-level model, delta = 0.1 MHz), t_final of one step,
+    0.01, 0.05 and 0.1 us raise, while 0.3 us passes and ``dt`` at half the
+    default step passes at 0.01 us.  This integrator exists as a
+    verification oracle for the steady-state solver and deliberately avoids
+    the vectorized-generator code path, the table included.
     """
     if rho0.space != model.space:
         raise ValueError("initial state does not act on the model space")

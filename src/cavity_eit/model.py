@@ -26,6 +26,7 @@ decay gamma_deph) widens it to above 400 kHz.
 
 from __future__ import annotations
 
+import functools
 import math
 import numbers
 from dataclasses import dataclass, fields
@@ -293,15 +294,18 @@ def scan_operator(params: PhysicsParams, field: str, scheme: str = "five") -> Op
     return (-TWO_PI) * scan[field]
 
 
+@functools.cache
 def cavity_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatrix]:
-    """The cavity lowering operator a and photon number a+a (cavity = last subsystem)."""
+    """The cavity lowering operator a and photon number a+a (cavity = last
+    subsystem), built once per space: both are read-only, so callers share them."""
     lower = annihilation_operator(space, space.n_subsystems - 1)
     return lower, lower.dagger() @ lower
 
 
 def mean_photon_number(rho: DensityMatrix) -> float:
-    """Total intracavity photons <a+a> (cavity = last subsystem)."""
-    return expectation(rho, cavity_operators(rho.space)[1]).real
+    """Total intracavity photons <a+a> (cavity = last subsystem), clipped at
+    0: a valid state may hold populations down to -POSITIVITY_TOL."""
+    return max(expectation(rho, cavity_operators(rho.space)[1]).real, 0.0)
 
 
 def mean_cavity_amplitude(rho: DensityMatrix) -> complex:

@@ -30,16 +30,16 @@ from .errors import (
     EdgeExtremumError,
     SteadyStateConvergenceError,
 )
-from .hilbert import expectation
 from .liouville import ParametricSteadyState, steady_state
 from .model import (
     TWO_PI,
     PhysicsParams,
     build_model,
-    cavity_operators,
     drive_amplitude,
     empty_cavity_photons,
+    mean_photon_number,
     model_space,
+    relative_transmission,
     scan_operator,
     three_level_model,
     two_level_model,
@@ -92,17 +92,7 @@ class SweepSpec:
         object.__setattr__(self, "engines", tuple(self.engines))
         if self.variable not in _SWEPT_FIELDS:
             raise ConfigError(f"unknown sweep variable {self.variable!r}")
-        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
-            raise ConfigError("sweep window must be finite")
-        if not self.start < self.stop:
-            raise ConfigError("sweep window needs start < stop")
-        self.check_n_points(self.n_points)
-        step = (self.stop - self.start) / (self.n_points - 1)
-        if step < GRID_TOL * max(abs(self.start), abs(self.stop)):
-            raise ConfigError(
-                f"sweep step {step:.3e} MHz is below {GRID_TOL:g} of the window's largest "
-                "|value|, finer than the 12 significant digits a grid is written with"
-            )
+        self.check_window(self.start, self.stop, self.n_points)
         if not self.engines:
             raise ConfigError("at least one engine is required")
         for engine in self.engines:
@@ -116,10 +106,22 @@ class SweepSpec:
             raise ConfigError(f"unknown level scheme {self.level_scheme!r}")
 
     @staticmethod
-    def check_n_points(n_points) -> None:
-        """Raise ConfigError unless ``n_points`` is an integer of at least 2."""
+    def check_window(start: float, stop: float, n_points) -> None:
+        """Raise ConfigError unless ``start < stop`` are finite, ``n_points``
+        is an integer of at least 2 and the grid steps at least ``GRID_TOL``
+        of the window's largest |value|."""
+        if not (math.isfinite(start) and math.isfinite(stop)):
+            raise ConfigError("sweep window must be finite")
+        if not start < stop:
+            raise ConfigError("sweep window needs start < stop")
         if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
             raise ConfigError(f"n_points must be an integer of at least 2, got {n_points!r}")
+        step = (stop - start) / (n_points - 1)
+        if step < GRID_TOL * max(abs(start), abs(stop)):
+            raise ConfigError(
+                f"sweep step {step:.3e} MHz is below {GRID_TOL:g} of the window's largest "
+                "|value|, finer than the 12 significant digits a grid is written with"
+            )
 
 
 @dataclass(frozen=True)
@@ -167,22 +169,14 @@ def _sweep_system(spec: SweepSpec, eta: float, first: float) -> ParametricSteady
         return ParametricSteadyState(model, scan_operator(params, field, spec.level_scheme))
 
 
-def _readout(solution, operators) -> tuple[float, float]:
-    """Photon number <a+a> (clipped at 0) and coherent |<a>|^2 of a steady state."""
-    lower, number = operators
-    return max(expectation(solution.rho, number).real, 0.0), abs(expectation(solution.rho, lower)) ** 2
-
-
-def _master_equation_record(spec: SweepSpec, solutions, operators, value: float,
-                            t0: float) -> SpectrumRecord:
+def _master_equation_record(spec: SweepSpec, solutions, value: float) -> SpectrumRecord:
     """The record of the next solution of ``ParametricSteadyState.solve_each``."""
     with _naming(_point_label(spec, value)):
         solution = next(solutions)
-    photons, coherent = _readout(solution, operators)
     return SpectrumRecord(
         sweep_value=float(value),
-        transmission_rel=coherent / t0,
-        photon_number=photons,
+        transmission_rel=relative_transmission(solution, spec.base_params),
+        photon_number=mean_photon_number(solution.rho),
         absorption_part=None,
         dispersion_part=None,
         residual_norm=solution.residual_norm,
@@ -229,15 +223,13 @@ def run_sweep(spec: SweepSpec) -> list[SpectrumRecord]:
         # before the master-equation system is built and solved
         check_closed_form(spec.base_params)
     if ENGINE_MASTER_EQUATION in spec.engines:
-        system = _sweep_system(spec, eta, grid[0])
-        operators = cavity_operators(system.model.space)
-        solutions = system.solve_each(grid)
+        solutions = _sweep_system(spec, eta, grid[0]).solve_each(grid)
 
     records: list[SpectrumRecord] = []
     for value in grid:
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(_master_equation_record(spec, solutions, operators, value, t0))
+                records.append(_master_equation_record(spec, solutions, value))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records
@@ -343,9 +335,10 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     # dict.fromkeys drops a repeat (omega_con = 0 puts the peak at 0) and keeps the order.
     deltas_mhz = list(dict.fromkeys([0.0, 1.5] if abs_peak is None else [0.0, abs_peak, 1.5]))
     try:
-        t0 = empty_cavity_photons(params)
+        empty_cavity_photons(params)
+        ratio = True
     except ConfigError:
-        t0 = None
+        ratio = False
 
     # every truncation's count and capacity, from dimensions alone, before the
     # first solve; a capacity error is named as the first point it would stop
@@ -359,8 +352,8 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
             with _naming(f"n_max = {n_max}, delta = {delta} MHz"):
                 model = build_model(replace(params, n_max=n_max, delta=delta))
                 solution = steady_state(model)
-            photons, coherent = _readout(solution, cavity_operators(model.space))
-            trans = photons if t0 is None else coherent / t0
+            photons = mean_photon_number(solution.rho)
+            trans = relative_transmission(solution, params) if ratio else photons
             rows.append(TruncationRow(n_max, delta, trans, photons))
 
     transmission = {(row.n_max, row.delta_mhz): row.transmission_rel for row in rows}

@@ -3,8 +3,10 @@ import dataclasses
 import io
 import json
 import os
+import stat
 import subprocess
 import sys
+import threading
 import warnings
 from pathlib import Path
 
@@ -286,6 +288,10 @@ def test_converge_rejects_bad_list(tmp_path, capsys):
     assert json.loads(capsys.readouterr().err)["error"] == "ConfigError"
 
 
+_FINE_GRID = ("{cfg}: sweep step 4.167e-09 MHz is below 1e-10 of the window's largest |value|, "
+              "finer than the 12 significant digits a grid is written with")
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -299,13 +305,20 @@ def test_converge_rejects_bad_list(tmp_path, capsys):
         # a 4e-9 MHz step at 1000 MHz is finer than the 12 digits written
         (["cavity-scan", "--atoms", "0", "--start", "1000", "--stop", "1000.000001",
           "--points", "241", "--deterministic", "--out", "{out}"], None),
+        # the same window in a config file fails as the file loads, named by
+        # it, also for cavity-scan, which takes its window from its options
+        (["eit-sweep", "--config", "{cfg}", "--out", "{out}"], _FINE_GRID),
+        (["cavity-scan", "--config", "{cfg}", "--out", "{out}"], _FINE_GRID),
     ],
     ids=["atoms-5", "points-abc", "nmax-list-negative", "missing-out", "no-subcommand",
-         "grid-finer-than-written"],
+         "grid-finer-than-written", "config-grid-finer-than-written",
+         "scan-config-grid-finer-than-written"],
 )
 def test_bad_arguments_exit_with_error_record(tmp_path, argv, message):
     out = tmp_path / "o.csv"
-    status, stdout, stderr = _run_cli([arg.format(out=out) for arg in argv])
+    config = tmp_path / "fine.cfg"
+    config.write_text("start = 1000\nstop = 1000.000001\nn_points = 241\n", encoding="utf-8")
+    status, stdout, stderr = _run_cli([arg.format(out=out, cfg=config) for arg in argv])
     assert status == 2
     assert stdout == ""
     (line,) = stderr.splitlines()
@@ -313,7 +326,7 @@ def test_bad_arguments_exit_with_error_record(tmp_path, argv, message):
     assert set(record) == {"error", "message"}
     assert record["error"] == "ConfigError"
     if message is not None:
-        assert record["message"] == message
+        assert record["message"] == message.format(cfg=config)
     assert not out.exists()
 
 
@@ -446,6 +459,42 @@ def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsy
     record = json.loads(capsys.readouterr().err)
     assert record["error"] == "ConfigError"
     assert str(out) in record["message"]
+
+
+def test_a_failed_command_removes_only_a_regular_output_file(tmp_path, monkeypatch):
+    # n_p = 1e-20 passes the config and fails the first sweep step, after
+    # --out is open: a regular file goes, one that existed before too, and
+    # a pipe stays
+    config = tmp_path / "no_probe.cfg"
+    config.write_text("n_p = 1e-20\n", encoding="utf-8")
+    argv = ["eit-sweep", "--config", str(config), "--out"]
+    regular = tmp_path / "o.csv"
+    regular.write_text("kept from before\n", encoding="utf-8")
+    assert _run_cli(argv + [str(regular)])[0] == 2
+    assert not regular.exists()
+    pipe = tmp_path / "o.fifo"
+    os.mkfifo(pipe)
+    reader = threading.Thread(target=pipe.read_bytes, daemon=True)
+    reader.start()
+    status, stdout, stderr = _run_cli(argv + [str(pipe)])
+    reader.join(timeout=60)
+    assert not reader.is_alive()
+    assert status == 2 and stdout == ""
+    (line,) = stderr.splitlines()
+    assert _strict_json(line) == {
+        "error": "ConfigError", "message": "probe drive is zero; relative transmission is undefined",
+    }
+    assert stat.S_ISFIFO(os.stat(pipe).st_mode)
+
+    # a removal that fails leaves the command's own record
+    def refused(path):
+        raise PermissionError(13, "Permission denied", path)
+
+    monkeypatch.setattr(os, "remove", refused)
+    status, stdout, stderr = _run_cli(argv + [str(regular)])
+    assert status == 2
+    (line,) = stderr.splitlines()
+    assert _strict_json(line)["message"] == "probe drive is zero; relative transmission is undefined"
 
 
 def test_out_of_memory_exits_with_error_record(tmp_path, capsys, monkeypatch):

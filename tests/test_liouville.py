@@ -37,11 +37,20 @@ from cavity_eit import (
 )
 from cavity_eit import liouville
 from cavity_eit.hilbert import POSITIVITY_TOL
-from cavity_eit.liouville import ParametricSteadyState, _apply_factory, unvectorize, vectorize
+from cavity_eit.liouville import ParametricSteadyState, _apply_factory
 from cavity_eit.model import model_space, scan_operator
 from cavity_eit.sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP
 
 TWO_PI = 2.0 * math.pi
+
+
+def vectorize(mat: np.ndarray) -> np.ndarray:
+    """Column-stacking vec(), the package's convention."""
+    return np.asarray(mat).reshape(-1, order="F")
+
+
+def unvectorize(vec: np.ndarray, dim: int) -> np.ndarray:
+    return np.asarray(vec).reshape((dim, dim), order="F")
 
 
 def _random_matrix(rng, dim):
@@ -475,7 +484,8 @@ def test_parametric_residual_is_true_residual(field, scheme, params, values):
 def _system_matrix(system, value):
     """The trace-replaced system at ``value`` as stored: in its fill-reducing order."""
     size = system.model.space.total_dim ** 2
-    data = system._base + value * system._step
+    data = system._base.copy()
+    data[system._on_diagonal] = system._diagonal + value * system._diagonal_step
     data[system._trace] = max(system._scale_floor, float(np.abs(data).max()))
     return sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
 

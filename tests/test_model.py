@@ -9,6 +9,8 @@ from hypothesis import strategies as st
 from cavity_eit import (
     ConfigError,
     DegenerateSteadyStateError,
+    DensityMatrix,
+    HilbertSpace,
     PhysicsParams,
     build_model,
     drive_amplitude,
@@ -182,6 +184,13 @@ def test_far_detuned_transmission_near_single_atom_level():
     solution = steady_state(build_model(params))
     assert 0.30 < relative_transmission(solution, params) < 0.60
     assert 0.35 < mean_photon_number(solution.rho) / params.n_p < 0.65
+
+
+def test_photon_number_clips_a_population_within_the_positivity_tolerance():
+    # a valid state may dip to -POSITIVITY_TOL; its photon number reads 0, not -5e-9
+    space = HilbertSpace((2, 3))
+    rho = DensityMatrix(space, np.diag([1.0 + 5e-9, -5e-9, 0.0, 0.0, 0.0, 0.0]))
+    assert mean_photon_number(rho) == 0.0
 
 
 def test_transparency_maximum_below_unity_at_working_point():
