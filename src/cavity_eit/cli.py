@@ -32,6 +32,7 @@ import os
 import re
 import stat
 import sys
+import tempfile
 from datetime import datetime, timezone
 
 from .config import RunConfig
@@ -79,23 +80,42 @@ def _load_config(path: str | None) -> RunConfig:
 @contextlib.contextmanager
 def _output(path: str, deterministic: bool):
     """Open an output CSV before any solve, headed with a timestamp unless
-    ``deterministic``; a command that fails leaves no partial file.  Only a
-    regular file is removed: a pipe or a device stays where it is."""
+    ``deterministic``; a command that fails leaves ``path`` as it was.  A
+    missing or regular file (a symlink's target) is written through a
+    temporary file beside it, with the file's mode or 0o666 less the umask,
+    moved onto it only on success; a pipe or a device is written directly."""
     try:
-        handle = open(path, "w", encoding="utf-8", newline="")
+        mode = os.stat(path).st_mode
+    except OSError:
+        umask = os.umask(0)
+        os.umask(umask)
+        mode = stat.S_IFREG | (0o666 & ~umask)
+    target = os.path.realpath(path)
+    temp = None
+    try:
+        if stat.S_ISREG(mode):
+            fd, temp = tempfile.mkstemp(".tmp", os.path.basename(target) + ".",
+                                        os.path.dirname(target))
+            os.fchmod(fd, stat.S_IMODE(mode))
+            handle = os.fdopen(fd, "w", encoding="utf-8", newline="")
+        else:
+            handle = open(path, "w", encoding="utf-8", newline="")
     except OSError as exc:
         raise ConfigError(f"cannot write {path}: {exc}") from exc
-    regular = stat.S_ISREG(os.fstat(handle.fileno()).st_mode)
     try:
         with handle:
             if not deterministic:
                 handle.write(f"# generated {datetime.now(timezone.utc).isoformat()}\n")
             yield handle
-    except BaseException:
-        if regular:
+        if temp is not None:
+            os.replace(temp, target)
+    except BaseException as exc:
+        if temp is not None:
             # the command's own error is the record, not a failed removal
             with contextlib.suppress(OSError):
-                os.remove(path)
+                os.remove(temp)
+        if isinstance(exc, OSError):
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
         raise
 
 

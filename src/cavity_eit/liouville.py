@@ -24,15 +24,16 @@ residuals and condition estimates are computed for a slice of values at
 once, one column per value.
 Each solution carries its residual verdict; a single solve, the one-value
 case at v = 0, raises a miss.
-L(rho) itself is applied by one closure built once per model from
-entrywise products, for a stack (points, dim, dim) of Hermitian states: a
-sparse K = -iH_eff for K rho + (K rho)^+ and one sparse matrix on the
-row-major flat state for the jump sum.  It never touches the vectorized
-generator, so the steady-state residual and the explicit RK4 integrator,
-which use only that closure, serve as independent cross-checks of the
-vectorized solver.  For small models the integrator tabulates its fixed
-RK4 step once, from closure steps of stacks of Hermitian basis matrices, as
-a real matrix on the Hermitian coordinates of rho.
+L(rho) itself is applied by one closure built once per model, for a stack
+(points, dim, dim) of Hermitian states: one sparse matrix X on the
+row-major flat state gives x = K rho + J(rho)/2, with K = -iH_eff and the
+jump sum J, and L(rho) = x + x^+ is Hermitian to the bit.  X is built
+from entrywise products, never from the vectorized generator, so the
+steady-state residual and the explicit RK4 integrator, which use only that
+closure, serve as independent cross-checks of the vectorized solver.  For
+small models the integrator tabulates its fixed RK4 step once, from closure
+steps of stacks of Hermitian basis matrices, as a real matrix on the
+Hermitian coordinates of rho.
 """
 
 from __future__ import annotations
@@ -205,20 +206,20 @@ def _apply_factory(model: LindbladModel):
     """Closure evaluating L(rho) for each Hermitian rho of a stack (points,
     dim, dim), the layout :meth:`DensityMatrix.each` checks.
 
-    L(rho) = K rho + (K rho)^+ + J(rho) with K = -iH - (1/2) sum_c c^+c held
-    as one CSR matrix, so one product over the columns of every point.  The
-    jump sum J(rho) = sum_c c rho c^+ is one CSR product J on every point's
-    row-major flat state, built from the pairs (p, q) of nonzero entries of
-    the same collapse operator, J[r_p dim + r_q, s_p dim + s_q] +=
-    v_p conj(v_q), with duplicate pairs summed on conversion; the pair table
-    has sum_c nnz(c)^2 entries.  The (K rho)^+ term equals rho K^+ only for
+    L(rho) = x + x^+ with x = K rho + J(rho)/2, K = -iH - (1/2) sum_c c^+c
+    and the jump sum J(rho) = sum_c c rho c^+, so one CSR product X on every
+    point's row-major flat state gives x.  X = (K kron I) + J/2 is built
+    from entrywise products: K[i, k] at (i dim + j, k dim + j) for every j,
+    and for the pairs (p, q) of nonzero entries of the same collapse
+    operator, v_p conj(v_q)/2 at (r_p dim + r_q, s_p dim + s_q), with
+    duplicates summed on conversion; the pair table has sum_c nnz(c)^2
+    entries.  x + x^+ is Hermitian to the bit, and it is L(rho) only for
     Hermitian rho; :func:`liouvillian_apply` extends the closure to any rho.
     """
     dim = model.space.total_dim
     size = dim * dim
     k = -1j * model.hamiltonian.matrix
-    empty = np.zeros(0, dtype=np.intp)
-    targets, sources, weights = [empty], [empty], [empty.astype(complex)]
+    targets, sources, weights = [], [], []
     for op in model.collapse_ops:
         c = op.matrix
         k = k - 0.5 * (c.conj().T @ c)
@@ -226,17 +227,17 @@ def _apply_factory(model: LindbladModel):
         values = c[rows, cols]
         targets.append((dim * rows[:, None] + rows).ravel())
         sources.append((dim * cols[:, None] + cols).ravel())
-        weights.append(np.outer(values, values.conj()).ravel())
-    k = sp.csr_array(k)
+        weights.append(0.5 * np.outer(values, values.conj()).ravel())
+    rows, cols = np.nonzero(k)
+    targets.append((dim * rows[:, None] + np.arange(dim)).ravel())
+    sources.append((dim * cols[:, None] + np.arange(dim)).ravel())
+    weights.append(np.repeat(k[rows, cols], dim))
     targets, sources, weights = map(np.concatenate, (targets, sources, weights))
-    jumps = sp.csr_array((weights, (targets, sources)), shape=(size, size))
+    x_op = sp.csr_array((weights, (targets, sources)), shape=(size, size))
 
     def apply(rho: np.ndarray) -> np.ndarray:
-        points = len(rho)
-        half = k @ rho.transpose(1, 0, 2).reshape(dim, -1)
-        half = half.reshape(dim, points, dim).transpose(1, 0, 2)
-        jump = jumps @ np.ascontiguousarray(rho.reshape(points, size).T)
-        return half + half.conj().transpose(0, 2, 1) + jump.T.reshape(rho.shape)
+        x = (x_op @ rho.reshape(len(rho), size).T).T.reshape(rho.shape)
+        return x + x.conj().transpose(0, 2, 1)
 
     return apply
 
@@ -876,8 +877,10 @@ def evolve(
     Hermitian coordinates of rho.  Up to Liouville size
     ``_DENSE_MAX_SIZE`` that map is tabulated once, from steps of the
     Hermitian basis matrices, ``_SLICE_ROWS`` rows at a time, and every
-    step is one real matrix-vector product; above it each step runs the
-    closure on a one-point stack and is re-Hermitized.
+    step is one real matrix-vector product; above it rho0 is projected onto
+    Hermitian matrices once and each step runs the closure on a one-point
+    stack, whose image of a Hermitian state is Hermitian to the bit, so no
+    step re-projects.
     The state is trace-renormalized after every step; a per-step trace drift
     beyond 1e-6 (or a non-finite state) aborts with an instability error
     suggesting a smaller step, and so does a final state that fails the
@@ -924,11 +927,9 @@ def evolve(
         )
         rho = _hermitian_matrix(coords[None], upper, dim)
     else:
-        def advance(rho):
-            rho = _rk4_step(apply, rho, step)
-            return 0.5 * (rho + rho.conj().transpose(0, 2, 1))
-
-        rho = _run_steps(advance, lambda rho: np.trace(rho[0]).real, rho, steps, step)
+        rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+        rho = _run_steps(lambda rho: _rk4_step(apply, rho, step),
+                         lambda rho: np.trace(rho[0]).real, rho, steps, step)
     try:
         return DensityMatrix(model.space, rho[0])
     except ValueError as exc:

@@ -463,15 +463,16 @@ def test_unwritable_output_exits_with_error_record(tmp_path, small_config, capsy
 
 def test_a_failed_command_removes_only_a_regular_output_file(tmp_path, monkeypatch):
     # n_p = 1e-20 passes the config and fails the first sweep step, after
-    # --out is open: a regular file goes, one that existed before too, and
-    # a pipe stays
+    # --out is open: a regular file that existed before keeps its contents,
+    # no temporary file is left beside it, and a pipe stays
     config = tmp_path / "no_probe.cfg"
     config.write_text("n_p = 1e-20\n", encoding="utf-8")
     argv = ["eit-sweep", "--config", str(config), "--out"]
     regular = tmp_path / "o.csv"
     regular.write_text("kept from before\n", encoding="utf-8")
     assert _run_cli(argv + [str(regular)])[0] == 2
-    assert not regular.exists()
+    assert regular.read_text(encoding="utf-8") == "kept from before\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["no_probe.cfg", "o.csv"]
     pipe = tmp_path / "o.fifo"
     os.mkfifo(pipe)
     reader = threading.Thread(target=pipe.read_bytes, daemon=True)
@@ -495,6 +496,43 @@ def test_a_failed_command_removes_only_a_regular_output_file(tmp_path, monkeypat
     assert status == 2
     (line,) = stderr.splitlines()
     assert _strict_json(line)["message"] == "probe drive is zero; relative transmission is undefined"
+
+
+def test_a_command_replaces_the_target_of_a_symlinked_output_keeping_its_mode(tmp_path):
+    argv = ["cavity-scan", "--atoms", "0", "--points", "5", "--deterministic", "--out"]
+    target = tmp_path / "scan.csv"
+    target.write_text("kept from before\n", encoding="utf-8")
+    target.chmod(0o640)
+    link = tmp_path / "link.csv"
+    link.symlink_to(target)
+    assert _run_cli(argv + [str(link)])[0] == 0
+    assert link.is_symlink() and stat.S_IMODE(os.stat(target).st_mode) == 0o640
+    assert target.read_text(encoding="utf-8").startswith("delta_p_cav_MHz,")
+    # a new file gets the mode open() would give it
+    umask = os.umask(0o022)
+    try:
+        assert _run_cli(argv + [str(tmp_path / "new.csv")])[0] == 0
+    finally:
+        os.umask(umask)
+    assert stat.S_IMODE(os.stat(tmp_path / "new.csv").st_mode) == 0o644
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.csv", "new.csv", "scan.csv"]
+
+
+def test_a_failed_move_onto_the_output_exits_with_error_record(tmp_path, monkeypatch):
+    def refused(source, target):
+        raise PermissionError(13, "Permission denied", target)
+
+    monkeypatch.setattr(os, "replace", refused)
+    out = tmp_path / "scan.csv"
+    out.write_text("kept from before\n", encoding="utf-8")
+    status, stdout, stderr = _run_cli(
+        ["cavity-scan", "--atoms", "0", "--points", "5", "--out", str(out)])
+    assert status == 2 and stdout == ""
+    (line,) = stderr.splitlines()
+    record = _strict_json(line)
+    assert record["error"] == "ConfigError" and str(out) in record["message"]
+    assert out.read_text(encoding="utf-8") == "kept from before\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["scan.csv"]
 
 
 def test_out_of_memory_exits_with_error_record(tmp_path, capsys, monkeypatch):

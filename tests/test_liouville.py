@@ -256,6 +256,61 @@ def test_held_apply_of_a_stack_is_the_apply_of_each_matrix(make):
         assert np.array_equal(images[p], apply(stack[p:p + 1])[0])
 
 
+@settings(max_examples=60, deadline=None)
+@given(
+    st.one_of(
+        _models(atoms=(0, 1, 2)),
+        st.integers(0, 2**32 - 1).map(lambda s: _random_model(np.random.default_rng(s))),
+    ),
+    st.integers(min_value=0, max_value=2**32 - 1),
+)
+def test_held_apply_of_a_hermitian_stack_is_hermitian_to_the_bit_property(model, seed):
+    # evolve steps without re-projecting onto Hermitian matrices, so the
+    # closure's image of an exactly Hermitian stack must be exactly Hermitian,
+    # dense collapse operators included
+    rng = np.random.default_rng(seed)
+    dim = model.space.total_dim
+    raw = rng.normal(size=(3, dim, dim)) + 1j * rng.normal(size=(3, dim, dim))
+    image = _apply_factory(model)(raw + raw.conj().transpose(0, 2, 1))
+    assert np.array_equal(image, image.conj().transpose(0, 2, 1))
+
+
+def _oracle_start(model, n_atoms):
+    """The oracle's seed-0 start: each atom in (|g1><g1| + |g2><g2|)/2, the
+    cavity in vacuum."""
+    atoms = np.ones((1, 1))
+    for _ in range(n_atoms):
+        atoms = np.kron(atoms, np.diag([0.5, 0.5, 0.0, 0.0, 0.0]))
+    vacuum = np.zeros((model.space.subsystem_dims[-1],) * 2)
+    vacuum[0, 0] = 1.0
+    return np.kron(atoms, vacuum)
+
+
+@pytest.mark.parametrize(
+    "make, start",
+    [(lambda: _random_model(np.random.default_rng(7), (2, 3), 3),
+      lambda model: _random_density(np.random.default_rng(8), model.space.total_dim)),
+     (lambda: build_model(replace(PhysicsParams(), n_atoms=2, delta=1.5)),
+      lambda model: _oracle_start(model, 2))],
+    ids=["random-dense-collapse", "two-atoms-oracle-start"],
+)
+def test_rk4_steps_of_a_hermitian_state_need_no_reprojection(make, start):
+    # the closure path of evolve projects rho0 once and never after a step:
+    # re-projecting after every one of 200 steps must change no bit
+    model = make()
+    apply = _apply_factory(model)
+    rho = start(model)[None]
+    rho = 0.5 * (rho + rho.conj().transpose(0, 2, 1))
+    step = stable_timestep(model)
+    projected = plain = rho
+    for _ in range(200):
+        projected = liouville._rk4_step(apply, projected, step)
+        projected = 0.5 * (projected + projected.conj().transpose(0, 2, 1))
+        plain = liouville._rk4_step(apply, plain, step)
+        assert np.array_equal(plain, projected)
+    assert np.isfinite(plain).all() and np.max(np.abs(plain - rho)) > 1e-3
+
+
 @pytest.mark.parametrize(
     "make",
     [lambda: _random_model(np.random.default_rng(4), (2, 3), 3),
@@ -1091,8 +1146,8 @@ def test_evolve_detects_instability_when_stepping_the_closure():
 
 
 def _reference_rk4(model, rho, t_final, dt):
-    """Classical RK4 stages k1..k4 on the term-by-term L, with evolve's
-    per-step Hermitization and trace renormalization."""
+    """Classical RK4 stages k1..k4 on the term-by-term L, with a per-step
+    Hermitization and evolve's trace renormalization."""
     steps = max(1, math.ceil(t_final / dt))
     h = t_final / steps
     for _ in range(steps):
