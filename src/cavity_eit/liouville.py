@@ -202,38 +202,48 @@ class SteadyStateSolution:
         return self.residual_norm <= self.tolerance
 
 
-def _apply_factory(model: LindbladModel):
-    """Closure evaluating L(rho) for each Hermitian rho of a stack (points,
-    dim, dim), the layout :meth:`DensityMatrix.each` checks.
+def _flat_operator(model: LindbladModel) -> sp.csr_array:
+    """X with x = K rho + J(rho)/2 = X flat(rho) on the row-major flat rho.
 
-    L(rho) = x + x^+ with x = K rho + J(rho)/2, K = -iH - (1/2) sum_c c^+c
-    and the jump sum J(rho) = sum_c c rho c^+, so one CSR product X on every
-    point's row-major flat state gives x.  X = (K kron I) + J/2 is built
-    from entrywise products: K[i, k] at (i dim + j, k dim + j) for every j,
-    and for the pairs (p, q) of nonzero entries of the same collapse
-    operator, v_p conj(v_q)/2 at (r_p dim + r_q, s_p dim + s_q), with
-    duplicates summed on conversion; the pair table has sum_c nnz(c)^2
-    entries.  x + x^+ is Hermitian to the bit, and it is L(rho) only for
-    Hermitian rho; :func:`liouvillian_apply` extends the closure to any rho.
+    K = -iH - (1/2) sum_c c^+c and the jump sum J(rho) = sum_c c rho c^+.
+    X = (K kron I) + J/2 is built from entrywise products: K[i, k] at
+    (i dim + j, k dim + j) for every j, and for the pairs (p, q) of nonzero
+    entries of the same collapse operator, v_p conj(v_q)/2 at (r_p dim + r_q,
+    s_p dim + s_q), with duplicates summed on conversion; the pair table has
+    sum_c nnz(c)^2 entries, indexed in int32 (every size is at most
+    ``SUPEROP_DIM_CAP``), the index type of X itself.
     """
     dim = model.space.total_dim
-    size = dim * dim
+    every = np.arange(dim, dtype=np.int32)
     k = -1j * model.hamiltonian.matrix
     targets, sources, weights = [], [], []
     for op in model.collapse_ops:
         c = op.matrix
         k = k - 0.5 * (c.conj().T @ c)
-        rows, cols = np.nonzero(c)
+        rows, cols = (index.astype(np.int32) for index in np.nonzero(c))
         values = c[rows, cols]
         targets.append((dim * rows[:, None] + rows).ravel())
         sources.append((dim * cols[:, None] + cols).ravel())
         weights.append(0.5 * np.outer(values, values.conj()).ravel())
-    rows, cols = np.nonzero(k)
-    targets.append((dim * rows[:, None] + np.arange(dim)).ravel())
-    sources.append((dim * cols[:, None] + np.arange(dim)).ravel())
+    rows, cols = (index.astype(np.int32) for index in np.nonzero(k))
+    targets.append((dim * rows[:, None] + every).ravel())
+    sources.append((dim * cols[:, None] + every).ravel())
     weights.append(np.repeat(k[rows, cols], dim))
     targets, sources, weights = map(np.concatenate, (targets, sources, weights))
-    x_op = sp.csr_array((weights, (targets, sources)), shape=(size, size))
+    return sp.csr_array((weights, (targets, sources)), shape=(dim * dim, dim * dim))
+
+
+def _apply_factory(model: LindbladModel):
+    """Closure evaluating L(rho) for each Hermitian rho of a stack (points,
+    dim, dim), the layout :meth:`DensityMatrix.each` checks.
+
+    L(rho) = x + x^+ with x = K rho + J(rho)/2, so one CSR product with
+    :func:`_flat_operator` X on every point's row-major flat state gives x.
+    x + x^+ is Hermitian to the bit, and it is L(rho) only for Hermitian
+    rho; :func:`liouvillian_apply` extends the closure to any rho.
+    """
+    x_op = _flat_operator(model)
+    size = x_op.shape[0]
 
     def apply(rho: np.ndarray) -> np.ndarray:
         x = (x_op @ rho.reshape(len(rho), size).T).T.reshape(rho.shape)
@@ -792,21 +802,29 @@ def _inverse_one_norms(lu, points: int, size: int) -> np.ndarray:
     return estimate
 
 
-def steady_state(model: LindbladModel) -> SteadyStateSolution:
-    """Solve L vec(rho) = 0 with trace(rho) = 1 by trace-row replacement.
-
-    The v = 0 case of :meth:`ParametricSteadyState.solve_each`, with its
-    errors and its fixed residual bound, and the one place a residual miss
-    is raised: a SteadyStateConvergenceError carrying the solution that is
-    not converged.
-    """
-    solution = next(ParametricSteadyState(model).solve_each([0.0]))
+def _single_solve(system: ParametricSteadyState, value: float) -> SteadyStateSolution:
+    """The solution at ``value`` as a single solve, with the errors of
+    :meth:`ParametricSteadyState.solve_each` for one value, and the one place
+    a residual miss is raised: a SteadyStateConvergenceError carrying the
+    solution that is not converged."""
+    solution = next(system.solve_each([value]))
     if not solution.converged:
         raise SteadyStateConvergenceError(
             f"steady-state residual {solution.residual_norm:.3e} exceeds tolerance "
             f"{solution.tolerance:.3e}", solution=solution
         )
     return solution
+
+
+def steady_state(model: LindbladModel) -> SteadyStateSolution:
+    """Solve L vec(rho) = 0 with trace(rho) = 1 by trace-row replacement.
+
+    The v = 0 case of :meth:`ParametricSteadyState.solve_each`, with its
+    errors and its fixed residual bound, as :func:`_single_solve`: a
+    residual miss raises a SteadyStateConvergenceError carrying the
+    solution that is not converged.
+    """
+    return _single_solve(ParametricSteadyState(model), 0.0)
 
 
 def stable_timestep(model: LindbladModel) -> float:

@@ -41,7 +41,6 @@ from .hilbert import (
     OperatorMatrix,
     annihilation_operator,
     basis_projector,
-    expectation,
     transition_operator,
 )
 from .liouville import LindbladModel, SteadyStateSolution, check_capacity
@@ -302,15 +301,28 @@ def cavity_operators(space: HilbertSpace) -> tuple[OperatorMatrix, OperatorMatri
     return lower, lower.dagger() @ lower
 
 
+def _expectations(states: list[DensityMatrix]) -> tuple[list[complex], list[float]]:
+    """<a> and <a+a> (cavity = last subsystem) of each of ``states``, on one
+    space, read at once: each operator times the stack, and each product's
+    trace summed from its contiguous diagonal as np.trace sums one matrix,
+    so every value has the bits of its own product and trace.  <a+a> is
+    clipped at 0: a valid state may hold populations down to -POSITIVITY_TOL."""
+    stack = np.stack([rho.matrix for rho in states])
+    amplitudes, photons = (
+        np.ascontiguousarray((op.matrix @ stack).diagonal(axis1=1, axis2=2)).sum(axis=1).tolist()
+        for op in cavity_operators(states[0].space))
+    return amplitudes, [max(n.real, 0.0) for n in photons]
+
+
 def mean_photon_number(rho: DensityMatrix) -> float:
     """Total intracavity photons <a+a> (cavity = last subsystem), clipped at
     0: a valid state may hold populations down to -POSITIVITY_TOL."""
-    return max(expectation(rho, cavity_operators(rho.space)[1]).real, 0.0)
+    return _expectations([rho])[1][0]
 
 
 def mean_cavity_amplitude(rho: DensityMatrix) -> complex:
     """Coherent cavity amplitude <a> (cavity = last subsystem)."""
-    return expectation(rho, cavity_operators(rho.space)[0])
+    return _expectations([rho])[0][0]
 
 
 def ground_coherence_decay(params: PhysicsParams) -> float:
@@ -330,6 +342,15 @@ def empty_cavity_photons(params: PhysicsParams) -> float:
     return params.n_p
 
 
+def spectrum_readout(solutions: list[SteadyStateSolution],
+                     params: PhysicsParams) -> tuple[list[float], list[float]]:
+    """T/T0 (:func:`relative_transmission`) and <a+a>
+    (:func:`mean_photon_number`) of each of ``solutions``, read at once."""
+    t0 = empty_cavity_photons(params)
+    amplitudes, photons = _expectations([solution.rho for solution in solutions])
+    return [abs(amplitude) ** 2 / t0 for amplitude in amplitudes], photons
+
+
 def relative_transmission(solution: SteadyStateSolution, params: PhysicsParams) -> float:
     """T/T0: coherent cavity response |<a>|^2 over the empty-cavity value n_p.
 
@@ -345,5 +366,4 @@ def relative_transmission(solution: SteadyStateSolution, params: PhysicsParams) 
     :func:`mean_photon_number` and is reported alongside the transmission in
     sweep records.
     """
-    t0 = empty_cavity_photons(params)
-    return abs(mean_cavity_amplitude(solution.rho)) ** 2 / t0
+    return spectrum_readout([solution], params)[0][0]

@@ -9,8 +9,10 @@ update of that system (``ParametricSteadyState.solve_each``).  A one-atom
 sweep factors it once, at the grid point nearest the window's midpoint, and
 solves every other point as a low-rank update of that LU; a two-atom sweep
 factors every point.  Each point's state and condition estimate are those of
-its own one-point solve to rounding, and points are checked and recorded in
-grid order, so a given spec produces bit-identical records on every run.
+its own one-point solve to rounding, and points are checked in grid order
+and read out at once (``model.spectrum_readout``), so a given spec produces
+bit-identical records on every run.  A truncation study assembles one system
+per truncation, at zero detuning, and solves each detuning on its own.
 """
 
 from __future__ import annotations
@@ -30,7 +32,10 @@ from .errors import (
     EdgeExtremumError,
     SteadyStateConvergenceError,
 )
-from .liouville import ParametricSteadyState, steady_state
+# this module's steady_state is one value of a system as a single solve, which
+# raises a residual miss (liouville.steady_state is a model's v = 0 case),
+# under the name perfbench's tracer times as the solve layer
+from .liouville import ParametricSteadyState, _single_solve as steady_state
 from .model import (
     TWO_PI,
     PhysicsParams,
@@ -41,6 +46,7 @@ from .model import (
     model_space,
     relative_transmission,
     scan_operator,
+    spectrum_readout,
     three_level_model,
     two_level_model,
 )
@@ -146,43 +152,23 @@ class SpectrumRecord:
     converged: bool = True
 
 
-def _point_label(spec: SweepSpec, value: float) -> str:
-    return f"sweep point {spec.variable} = {value} MHz"
-
-
 @contextlib.contextmanager
-def _naming(label: str):
-    """Prefix ``label`` to the message of a solver error raised inside, and re-raise it."""
+def _naming(label):
+    """Prefix ``label()``, the point at fault when a solver error is raised
+    inside, to the error's message, and re-raise it."""
     try:
         yield
     except (CapacityError, DegenerateSteadyStateError, SteadyStateConvergenceError) as exc:
-        exc.args = (f"{label}: {exc}",)
+        exc.args = (f"{label()}: {exc}",)
         raise
 
 
-def _sweep_system(spec: SweepSpec, eta: float, first: float) -> ParametricSteadyState:
-    """The model at a zero sweep value and its generator, assembled once."""
-    field = _SWEPT_FIELDS[spec.variable]
-    params = replace(spec.base_params, **{field: 0.0})
-    with _naming(_point_label(spec, first)):
-        model = _BUILDERS[spec.level_scheme](params, drive_eta=eta)
-        return ParametricSteadyState(model, scan_operator(params, field, spec.level_scheme))
-
-
-def _master_equation_record(spec: SweepSpec, solutions, value: float) -> SpectrumRecord:
-    """The record of the next solution of ``ParametricSteadyState.solve_each``."""
-    with _naming(_point_label(spec, value)):
-        solution = next(solutions)
-    return SpectrumRecord(
-        sweep_value=float(value),
-        transmission_rel=relative_transmission(solution, spec.base_params),
-        photon_number=mean_photon_number(solution.rho),
-        absorption_part=None,
-        dispersion_part=None,
-        residual_norm=solution.residual_norm,
-        engine=ENGINE_MASTER_EQUATION,
-        converged=solution.converged,
-    )
+def _zero_system(params: PhysicsParams, field: str, scheme: str = "five",
+                 eta: float | None = None) -> ParametricSteadyState:
+    """The model at a zero ``field`` and its generator, assembled once."""
+    params = replace(params, **{field: 0.0})
+    model = _BUILDERS[scheme](params, drive_eta=eta)
+    return ParametricSteadyState(model, scan_operator(params, field, scheme))
 
 
 def _semiclassical_point(spec: SweepSpec, value: float, t0: float) -> SpectrumRecord:
@@ -223,13 +209,25 @@ def run_sweep(spec: SweepSpec) -> list[SpectrumRecord]:
         # before the master-equation system is built and solved
         check_closed_form(spec.base_params)
     if ENGINE_MASTER_EQUATION in spec.engines:
-        solutions = _sweep_system(spec, eta, grid[0]).solve_each(grid)
+        solutions = []
+        # a solver error names the first point without a solution
+        with _naming(lambda: f"sweep point {spec.variable} = {grid[len(solutions)]} MHz"):
+            system = _zero_system(spec.base_params, _SWEPT_FIELDS[spec.variable],
+                                  spec.level_scheme, eta)
+            for solution in system.solve_each(grid):
+                solutions.append(solution)
+        transmissions, photons = spectrum_readout(solutions, spec.base_params)
 
     records: list[SpectrumRecord] = []
-    for value in grid:
+    for p, value in enumerate(grid):
         for engine in sorted(spec.engines):
             if engine == ENGINE_MASTER_EQUATION:
-                records.append(_master_equation_record(spec, solutions, value))
+                records.append(SpectrumRecord(
+                    sweep_value=float(value), transmission_rel=transmissions[p],
+                    photon_number=photons[p], absorption_part=None, dispersion_part=None,
+                    residual_norm=solutions[p].residual_norm, engine=ENGINE_MASTER_EQUATION,
+                    converged=solutions[p].converged,
+                ))
             else:
                 records.append(_semiclassical_point(spec, value, t0))
     return records
@@ -313,6 +311,9 @@ class ConvergenceStudy:
 def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> ConvergenceStudy:
     """Solve the full model at each truncation and tabulate T/T0 per detuning.
 
+    Each truncation's system is assembled once, at delta = 0, and each
+    detuning, which moves only its diagonal, is a single solve of it.
+
     The detunings are 0, the absorption peak omega_con^2/(4 delta_p) (when
     delta_p is nonzero) and 1.5 MHz, each once and in that order.  Flags
     non-convergence when the change between the two largest truncations
@@ -343,18 +344,21 @@ def convergence_study(params: PhysicsParams, n_max_list: list[int]) -> Convergen
     # every truncation's count and capacity, from dimensions alone, before the
     # first solve; a capacity error is named as the first point it would stop
     for n_max in n_max_list:
-        with _naming(f"n_max = {n_max}, delta = {deltas_mhz[0]} MHz"):
+        with _naming(lambda: f"n_max = {n_max}, delta = {deltas_mhz[0]} MHz"):
             model_space(replace(params, n_max=n_max))
 
     rows = []
     for n_max in n_max_list:
-        for delta in deltas_mhz:
-            with _naming(f"n_max = {n_max}, delta = {delta} MHz"):
-                model = build_model(replace(params, n_max=n_max, delta=delta))
-                solution = steady_state(model)
-            photons = mean_photon_number(solution.rho)
-            trans = relative_transmission(solution, params) if ratio else photons
-            rows.append(TruncationRow(n_max, delta, trans, photons))
+        # one system per truncation, each detuning its own single solve; a
+        # solver error names the detuning being solved, the first at set-up
+        delta = deltas_mhz[0]
+        with _naming(lambda: f"n_max = {n_max}, delta = {delta} MHz"):
+            system = _zero_system(replace(params, n_max=n_max), "delta")
+            for delta in deltas_mhz:
+                solution = steady_state(system, delta)
+                photons = mean_photon_number(solution.rho)
+                trans = relative_transmission(solution, params) if ratio else photons
+                rows.append(TruncationRow(n_max, delta, trans, photons))
 
     transmission = {(row.n_max, row.delta_mhz): row.transmission_rel for row in rows}
     lo, hi = n_max_list[-2:]

@@ -626,12 +626,29 @@ def test_converge_names_an_overflowing_absorption_peak(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_converge_names_a_huge_finite_absorption_peak(tmp_path, capsys):
+    # delta_p = 1e-300 puts the absorption peak at a finite 1.96e300 MHz,
+    # whose single solve is singular; the record names that truncation and
+    # detuning, where the detuning moves only the system's diagonal
+    config = tmp_path / "run.cfg"
+    config.write_text("delta_p = 1e-300\n", encoding="utf-8")
+    out = tmp_path / "converge.csv"
+    assert main(["converge", "--config", str(config), "--nmax-list", "1,2",
+                 "--out", str(out)]) == 2
+    record = _strict_json(capsys.readouterr().err)
+    assert record["error"] == "DegenerateSteadyStateError"
+    assert record["message"].startswith("n_max = 1, delta = 1.9599999999999996e+300 MHz: ")
+    assert record["message"].endswith(_UNDETERMINED)
+    assert not out.exists()
+
+
 def test_converge_capacity_exits_before_the_first_solve(tmp_path, capsys, monkeypatch):
     # two atoms at n_max = 2 are ~5 s a point; n_max = 1000 fails on dimensions alone
     def forbidden(*args, **kwargs):
         pytest.fail("a point was solved before every truncation's capacity was checked")
 
-    monkeypatch.setattr(cavity_eit.sweep, "steady_state", forbidden)
+    # every solve needs its truncation's system first
+    monkeypatch.setattr(cavity_eit.sweep, "_zero_system", forbidden)
     config = tmp_path / "run.cfg"
     config.write_text("n_atoms = 2\n", encoding="utf-8")
     out = tmp_path / "converge.csv"
@@ -714,18 +731,30 @@ def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, 
     assert not out.exists()
 
 
+def _csvs_at_blas_threads(out_dir, threads, commands):
+    """Run each command of ``commands`` (name: CLI arguments) with ``--out
+    out_dir/<name>.csv --deterministic``, in order, in one fresh process
+    with the BLAS limited to ``threads`` threads; return each CSV's bytes by
+    name."""
+    out_dir.mkdir(exist_ok=True)
+    outs = {name: out_dir / f"{name}.csv" for name in commands}
+    package_root = Path(cavity_eit.__file__).resolve().parent.parent
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(package_root))
+    argvs = [[*args, "--out", str(outs[name]), "--deterministic"]
+             for name, args in commands.items()]
+    script = ("import json, sys\nfrom cavity_eit.cli import main\n"
+              "for argv in json.loads(sys.argv[1]):\n"
+              "    if main(argv) != 0:\n        sys.exit(f'{argv} exited nonzero')\n")
+    subprocess.run([sys.executable, "-c", script, json.dumps(argvs)],
+                   env=env, check=True, timeout=300)
+    return {name: out.read_bytes() for name, out in outs.items()}
+
+
 def _sweep_at_blas_threads(out, threads, *args, command=("eit-sweep", "--engine", "both")):
     """Run ``command --deterministic`` (``eit-sweep`` with both engines by
     default) in a fresh process with the BLAS limited to ``threads``
     threads; return the CSV's bytes."""
-    package_root = Path(cavity_eit.__file__).resolve().parent.parent
-    env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=str(package_root))
-    subprocess.run(
-        [sys.executable, "-m", "cavity_eit", *command, *args,
-         "--out", str(out), "--deterministic"],
-        env=env, check=True, timeout=300,
-    )
-    return out.read_bytes()
+    return _csvs_at_blas_threads(out.parent, threads, {out.stem: (*command, *args)})[out.stem]
 
 
 def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
@@ -736,25 +765,24 @@ def test_deterministic_csv_independent_of_blas_threads(tmp_path, small_config):
     # probe through the dense A0^-1 on every BLAS thread: only sums over the
     # rank may reach a CSV column; and the five-level sweep at n_max 3,
     # Liouville size 400, a LU per value.  At n_max 4 (size 625) SuperLU's
-    # own factors change with the thread count.
+    # own factors change with the thread count.  One process per thread
+    # count runs all five commands.
     config = tmp_path / "two_level.cfg"
     config.write_text("n_max = 4\n", encoding="utf-8")
     size_400 = tmp_path / "size_400.cfg"
     size_400.write_text("n_max = 3\nn_points = 5\n", encoding="utf-8")
+    both = ("eit-sweep", "--engine", "both")
     runs = {
-        "default": (("--config", small_config), {}),
-        "size-400": (("--config", str(size_400)), {}),
-        "two-level": (("--config", str(config), "--atoms", "1", "--start", "-2", "--stop", "2",
-                       "--points", "9"), {"command": ("cavity-scan",)}),
-        "dense-two-level": (("--atoms", "1", "--points", "41"), {"command": ("cavity-scan",)}),
-        "dense-default-window": ((), {"command": ("eit-sweep",)}),
+        "default": (*both, "--config", small_config),
+        "size-400": (*both, "--config", str(size_400)),
+        "two-level": ("cavity-scan", "--config", str(config), "--atoms", "1", "--start", "-2",
+                      "--stop", "2", "--points", "9"),
+        "dense-two-level": ("cavity-scan", "--atoms", "1", "--points", "41"),
+        "dense-default-window": ("eit-sweep",),
     }
-    for name, (args, options) in runs.items():
-        outputs = [
-            _sweep_at_blas_threads(tmp_path / f"{name}{threads}.csv", threads, *args, **options)
-            for threads in ("1", "2")
-        ]
-        assert outputs[0] == outputs[1], name
+    outputs = [_csvs_at_blas_threads(tmp_path / threads, threads, runs) for threads in ("1", "2")]
+    for name in runs:
+        assert outputs[0][name] == outputs[1][name], name
 
 
 def test_two_atom_csv_identical_at_fixed_blas_threads(tmp_path):

@@ -37,7 +37,7 @@ from cavity_eit import (
 )
 from cavity_eit import liouville
 from cavity_eit.hilbert import POSITIVITY_TOL
-from cavity_eit.liouville import ParametricSteadyState, _apply_factory
+from cavity_eit.liouville import ParametricSteadyState, _apply_factory, _flat_operator
 from cavity_eit.model import model_space, scan_operator
 from cavity_eit.sweep import DEFAULT_SWEEP_POINTS, DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP
 
@@ -1244,3 +1244,46 @@ def test_trace_distance_orthogonal_states():
     excited = DensityMatrix(space, np.diag([0.0, 1.0]).astype(complex))
     assert trace_distance(ground, excited) == pytest.approx(1.0)
     assert trace_distance(ground, ground) == pytest.approx(0.0)
+
+
+def _flat_operator_from_intp_triplets(model):
+    """X as it was built before its triplets were indexed in int32: the
+    same entrywise products, with NumPy's default integer indices."""
+    dim = model.space.total_dim
+    k = -1j * model.hamiltonian.matrix
+    targets, sources, weights = [], [], []
+    for op in model.collapse_ops:
+        c = op.matrix
+        k = k - 0.5 * (c.conj().T @ c)
+        rows, cols = np.nonzero(c)
+        values = c[rows, cols]
+        targets.append((dim * rows[:, None] + rows).ravel())
+        sources.append((dim * cols[:, None] + cols).ravel())
+        weights.append(0.5 * np.outer(values, values.conj()).ravel())
+    rows, cols = np.nonzero(k)
+    targets.append((dim * rows[:, None] + np.arange(dim)).ravel())
+    sources.append((dim * cols[:, None] + np.arange(dim)).ravel())
+    weights.append(np.repeat(k[rows, cols], dim))
+    targets, sources, weights = map(np.concatenate, (targets, sources, weights))
+    return sp.csr_array((weights, (targets, sources)), shape=(dim * dim, dim * dim))
+
+
+@pytest.mark.parametrize(
+    "builder, params",
+    [
+        (build_model, PhysicsParams()),
+        (build_model, replace(PhysicsParams(), n_atoms=0)),
+        (build_model, replace(PhysicsParams(), n_atoms=2, n_max=1)),
+        (three_level_model, PhysicsParams()),
+        (two_level_model, PhysicsParams()),
+    ],
+    ids=["five-level", "empty-cavity", "two-atoms", "three-level", "two-level"],
+)
+def test_int32_triplets_give_the_same_flat_operator(builder, params):
+    model = builder(params)
+    x_op = _flat_operator(model)
+    reference = _flat_operator_from_intp_triplets(model)
+    assert x_op.indices.dtype == x_op.indptr.dtype == np.int32
+    assert np.array_equal(x_op.data, reference.data)
+    assert np.array_equal(x_op.indices, reference.indices)
+    assert np.array_equal(x_op.indptr, reference.indptr)

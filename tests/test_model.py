@@ -22,7 +22,9 @@ from cavity_eit import (
     two_level_model,
     two_level_transmission,
 )
-from cavity_eit.model import model_space, scan_operator
+from cavity_eit.hilbert import expectation
+from cavity_eit.liouville import ParametricSteadyState
+from cavity_eit.model import cavity_operators, model_space, scan_operator, spectrum_readout
 
 TWO_PI = 2.0 * math.pi
 WORKING_POINT = PhysicsParams()
@@ -286,3 +288,30 @@ def test_atom_number_deepens_dispersive_shift(n_two_solution):
     t_one = _transmission(replace(WORKING_POINT, delta=1.5))
     t_two = relative_transmission(solution_two, params_two_atoms)
     assert t_two < t_one < 1.0
+
+
+@pytest.mark.parametrize(
+    "scheme, field, params",
+    [
+        ("five", "delta", WORKING_POINT),
+        ("three", "delta", WORKING_POINT),
+        ("two", "delta_p_cav", WORKING_POINT),
+        ("five", "delta_p_cav", replace(WORKING_POINT, n_atoms=0)),
+        ("five", "delta_p_cav", WORKING_POINT),
+    ],
+    ids=["five-delta", "three-delta", "two-level-scan", "empty-cavity-scan", "five-scan"],
+)
+def test_stacked_readout_is_each_solutions_own(scheme, field, params):
+    # one stacked readout of a sweep's states gives, bit for bit, what each
+    # state's own product and np.trace give
+    builder = {"five": build_model, "three": three_level_model, "two": two_level_model}[scheme]
+    model = builder(replace(params, **{field: 0.0}), drive_eta=drive_amplitude(params))
+    system = ParametricSteadyState(model, scan_operator(params, field, scheme))
+    solutions = list(system.solve_each(np.linspace(-0.9, 1.7, 11)))
+    transmissions, photons = spectrum_readout(solutions, params)
+    lower, number = cavity_operators(model.space)
+    for solution, trans, count in zip(solutions, transmissions, photons):
+        assert trans == abs(expectation(solution.rho, lower)) ** 2 / params.n_p
+        assert count == max(expectation(solution.rho, number).real, 0.0)
+        assert trans == relative_transmission(solution, params)
+        assert count == mean_photon_number(solution.rho)

@@ -24,12 +24,14 @@ from cavity_eit import (
     liouville,
     mean_cavity_amplitude,
     mean_photon_number,
+    relative_transmission,
     run_sweep,
     steady_state,
     sweep,
     three_level_model,
     two_level_model,
 )
+from cavity_eit.liouville import ParametricSteadyState
 from cavity_eit.sweep import ENGINE_MASTER_EQUATION, ENGINE_SEMICLASSICAL, VAR_PROBE_CAVITY, VAR_TWO_PHOTON
 
 WORKING_POINT = PhysicsParams()
@@ -405,6 +407,45 @@ def test_convergence_study_weak_drive():
     assert abs(changes[study.deltas_mhz[2]]) < 1e-3
 
 
+@pytest.mark.parametrize(
+    "params",
+    [WORKING_POINT, replace(WORKING_POINT, delta_p=0.0), replace(WORKING_POINT, n_atoms=2)],
+    ids=["default", "delta_p-0", "two-atoms"],
+)
+def test_convergence_rows_match_their_own_models(params, request):
+    # each truncation's system is assembled once at delta = 0 and moved to
+    # every detuning by its diagonal; a model built at the row's detuning
+    # must give the same row
+    study = convergence_study(params, [1, 2])
+    assert len(study.deltas_mhz) == (2 if params.delta_p == 0.0 else 3)
+    # the suite's N=2 steady state is the two-atom row at n_max 2, delta 1.5
+    known = request.getfixturevalue("n_two_solution") if params.n_atoms == 2 else (None, None)
+    for row in study.rows:
+        point = replace(params, n_max=row.n_max, delta=row.delta_mhz)
+        solution = known[1] if point == known[0] else steady_state(build_model(point))
+        assert row.transmission_rel == pytest.approx(
+            relative_transmission(solution, params), rel=1e-12, abs=0)
+        assert row.photon_number == pytest.approx(
+            mean_photon_number(solution.rho), rel=1e-12, abs=0)
+
+
+def test_convergence_study_assembles_and_orders_once_per_truncation(monkeypatch):
+    systems, orderings = [], []
+    order = liouville._fill_reducing_position
+
+    class Counted(ParametricSteadyState):
+        def __init__(self, *args):
+            systems.append(args)
+            super().__init__(*args)
+
+    monkeypatch.setattr(sweep, "ParametricSteadyState", Counted)
+    monkeypatch.setattr(liouville, "_fill_reducing_position",
+                        lambda *args: orderings.append(args) or order(*args))
+    study = convergence_study(WORKING_POINT, [2, 3, 4])
+    assert len(study.rows) == 9
+    assert len(systems) == 3 and len(orderings) == 3
+
+
 def test_convergence_study_vacuum_identical():
     study = convergence_study(replace(WORKING_POINT, n_p=0.0), [1, 2])
     assert study.converged
@@ -436,19 +477,22 @@ def test_convergence_study_checks_every_capacity_before_solving(monkeypatch):
     def forbidden(*args, **kwargs):
         pytest.fail("a point was solved before every truncation's capacity was checked")
 
-    monkeypatch.setattr(sweep, "steady_state", forbidden)
+    # every solve needs its truncation's system first
+    monkeypatch.setattr(sweep, "_zero_system", forbidden)
     with pytest.raises(CapacityError, match=r"^n_max = 1000, delta = 0\.0 MHz: "):
         convergence_study(replace(WORKING_POINT, n_atoms=2), [2, 1000])
 
 
 def _record_solver_errors(monkeypatch):
-    """Route ``sweep.steady_state`` through a wrapper that records each error
-    it raises, with its message, before the error leaves the solver."""
+    """Route ``sweep.steady_state``, the single solve of one detuning of a
+    truncation's system, through a wrapper that records each error it
+    raises, with its message, before the error leaves the solver."""
     raised = []
+    single_solve = sweep.steady_state
 
-    def recording(model):
+    def recording(system, value):
         try:
-            return steady_state(model)
+            return single_solve(system, value)
         except (DegenerateSteadyStateError, SteadyStateConvergenceError) as exc:
             raised.append((exc, str(exc)))
             raise
