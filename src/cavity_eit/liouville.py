@@ -6,24 +6,25 @@ generator is assembled from the effective Hamiltonian
 ``H_eff = H - (i/2) sum_c c^+c``.  The steady state is obtained from it by
 replacing one row (the one belonging to the rho[0,0] component) with the
 trace functional and solving the resulting linear system by sparse LU
-factorization.  A family H + v*G with G real diagonal changes only the
-diagonal of that system, in its r columns where G's diagonal differs
-between the two indices of rho, so a sweep over v assembles it once, orders
-it for sparse LU once and, when r is small (one atom), factors it once, at
-one base value: every other value is a rank-r update of that LU
-(Sherman-Morrison-Woodbury, with one r x r eigendecomposition for the whole
-sweep).  Every base solves its state once; each value's state is that
-solve passed through its rank-r correction (none at the base itself).  A
-sweep with at least as many values as rows, of a small system, solves that
-LU for the dense A0^-1 once and runs its condition estimates through it.
-The LUs leave SuperLU's supernodes unrelaxed and use threshold partial
-pivoting that keeps the diagonal pivots the stored order assumes.
-A value the base cannot serve, and every value of a sweep with large r (two
-atoms), gets its own LU.  States (one stacked eigendecomposition),
-residuals and condition estimates are computed for a slice of values at
-once, one column per value.
-Each solution carries its residual verdict; a single solve, the one-value
-case at v = 0, raises a miss.
+factorization.
+A family H + v*G with G real diagonal changes only the diagonal of that
+system, in its r columns where G's diagonal differs between the two
+indices of rho.  One block (``_Block``) owns the system: it assembles it
+once, orders it for sparse LU once, stores it in that order, factors it at
+any value and, from an LU at a base value, sets up the rank-r update to
+every other value (Sherman-Morrison-Woodbury, with one r x r
+eigendecomposition for the whole sweep; for a sweep with at least as many
+values as rows, of a small system, through the dense A0^-1).  The LUs leave
+SuperLU's supernodes unrelaxed and use threshold partial pivoting that
+keeps the diagonal pivots the stored order assumes.
+The model's side (``ParametricSteadyState``) chooses the bases: one for a
+sweep when r is small (one atom), else every value (two atoms), and any
+value the base cannot serve.  Every base solves its state once; each
+value's state is that solve passed through its rank-r correction (none at
+the base itself).  States (one stacked eigendecomposition), residuals and
+condition estimates are computed for a slice of values at once, one column
+per value.  Each solution carries its residual verdict; a single solve,
+the one-value case at v = 0, raises a miss.
 L(rho) itself is applied by one closure built once per model, for a stack
 (points, dim, dim) of Hermitian states: one sparse matrix X on the
 row-major flat state gives x = K rho + J(rho)/2, with K = -iH_eff and the
@@ -61,92 +62,39 @@ from .hilbert import DensityMatrix, HilbertSpace, OperatorMatrix
 SUPEROP_DIM_CAP = 20000
 DEFAULT_TOL = 1e-9
 TRACE_DRIFT_LIMIT = 1e-6
-# Largest Liouville size for which a size x size dense matrix stands in for
-# the sparse operator it tabulates: evolve's RK4 step (real, at most 2 MB)
-# and the A0^-1 and A0^-H of a one-base sweep with at least as many values
-# as rows (complex, at most 4 MB each).  One table step against one closure
-# step on a 2-core host, 1 and 2 BLAS threads: 7-9 vs 81-84 us at size 225,
-# 19-26 vs 63-86 us at 400, 157-268 vs 96 us at 900, 1.2-2.3 vs 0.25 ms at
-# 2500.
+# Largest Liouville size whose operators are held dense: evolve's RK4 table
+# and a long one-base sweep's A0^-1 and A0^-H.  BENCH_1f4a024-tabulated-rk4.json,
+# BENCH_2b89ac9-dense-probes.json; table and closure steps BENCH_9cb4943-one-block.json.
 _DENSE_MAX_SIZE = 512
 
-# Conditioning of the balanced trace-replaced system: healthy solves sit
-# around 1e4..1e6 here; values beyond _COND_WARN signal a near-degenerate
-# generator (second steady state opening up), beyond _SINGULAR_COND a state
-# the system does not determine: a second steady state, or rates that span
-# too many orders of magnitude, which the estimate cannot tell apart.
+# Condition estimates of the trace-replaced system (healthy ones read 1e4 to
+# 1e6) above which a value warns, and is singular.  CHANGES.md "the
+# steady-state residual bound has one owner".
 _COND_WARN = 1e9
 _SINGULAR_COND = 1e14
-# Largest generator entry max|L| at the default working point.  A residual
-# is judged against DEFAULT_TOL * max(1, max|L| / L_REF), so a model at or
-# below this scale keeps the absolute tolerance and a rescaled one scales it.
+# max|L| at the default working point, rounded up: a residual is judged against
+# DEFAULT_TOL * max(1, max|L| / L_REF).  CHANGES.md "a sweep solves its points in blocks".
 L_REF = 2.842e3
-# Largest rank r of a sweep's diagonal step (the number of Liouville
-# columns whose diagonal moves) for which one base LU serves every value of
-# the sweep (ParametricSteadyState).  Above it every value is its own base.
-# One-atom CSVs must not depend on the BLAS thread count, and the update
-# reaches them through _eig and its r x r products.  With the bundled
-# OpenBLAS 0.3.31 on a 2-core host, 1 against 2 threads, on random complex
-# r x r matrices, both keep their bits up to r = 128 and change them from
-# r = 150 (every product of the update sums over r terms, so only r
-# matters).  96 is below that bound; a larger limit needs its own timing.
-# Ranks of the sweeps: five-level delta 72 / 128 / 200 at n_max 2 / 3 / 4,
-# three-level delta 36 / 64 / 100, two-level cavity scan 24 / 48 / 80,
-# five-level cavity scan 150 at n_max 2, two atoms 1216 or more.
+# Largest rank r of the diagonal step at which one base LU serves a sweep;
+# one-atom CSVs keep their bits at 1 and 2 BLAS threads only up to r = 128.
+# CHANGES.md "one owner per spectrum rule"; ranks BENCH_9cb4943-one-block.json.
 _ONE_BASE_MAX_RANK = 96
-# Largest 1-norm condition number of the eigenvector matrix V of the update
-# for which the base LU serves a sweep; the update's error grows with it.
-# Against one LU per point, over 261-point windows of 17 one-atom and
-# empty-cavity sweeps (both sweep variables, every level scheme, and the
-# five- and three-level delta sweeps at g = 1e-3, omega_con = 1e-3 and 30,
-# gamma_deph = 0 and kappa = 1e-3; cond(V) 25 to 1.2e5), the estimates
-# differ by at most 7.3e-13 relative, about 6e-18 cond(V), and the states
-# by 1.7e-14.  The backward-stable Schur form instead of V measured as
-# accurate, but it needs a triangular solve per value and solve, a Python
-# loop over r.
+# Largest cond_1(V) of the update's eigenvectors at which the base LU serves a
+# sweep.  CHANGES.md "one factorization per one-atom sweep".
 _EIGVEC_COND_MAX = 1e6
-# Liouville rows of the right-hand sides that one pass of a sweep solves at
-# once: a slice of 8 values at size 225, 50 at size 36; of the unit columns
-# per solve when a base LU gives A0^-1 E, or all of A0^-1 for the dense
-# probes (29 solves of 8 at size 225); and of the basis matrices per closure
-# step when evolve tabulates its RK4 step (8 at size 225, the same table
-# bits as 16 with a traced peak of 0.68 against 0.94 MB per N=1 evolve).
-# More right-hand sides make SuperLU's solve run BLAS kernels that wake
-# every OpenBLAS thread: 16 of size 225 took ~8 ms a solve at 2 threads
-# against ~0.2 ms for 8.  The default one-atom sweep on a 2-core host at
-# 900 / 1800 / 3600 rows: 0.18 / 0.17 / 1.1 s at 2 BLAS threads, 0.16 /
-# 0.16 / 0.13 s at 1 (medians of 7, before the dense probes); 241-point
-# cavity scans 0.01-0.03 s at each.
+# Liouville rows of the right-hand sides solved or stepped at once; more make
+# SuperLU's solve wake every OpenBLAS thread.  CHANGES.md "one factorization
+# per one-atom sweep", "one state path"; BENCH_9cb4943-one-block.json.
 _SLICE_ROWS = 1800
-# Fewest values in one pass of a sweep through the dense probes.  At size 225
-# their products wake every OpenBLAS thread whatever the slice, so larger
-# slices only save passes; at 36 and 9 rows _SLICE_ROWS gives more values
-# anyway (50 and 200), whose products wake no thread.  Default window, one
-# eit-sweep call with both engines on a 2-core host at the default threads
-# (medians of 20 calls, 5 runs each): 0.075-0.107 s in slices of 8 values,
-# 0.060-0.072 s in 22, 0.057-0.082 s in 33, 0.059-0.085 s in 44, 0.058-0.086
-# s in 66, 0.097 s in one slice of 261.
+# Fewest values in one slice of a sweep through the dense probes, whose products
+# wake every OpenBLAS thread whatever the slice.  BENCH_9cb4943-one-block.json.
 _DENSE_SLICE_VALUES = 32
-# SuperLU's supernode relaxation for the sweep LUs: relax=1 leaves every
-# supernode as the pattern makes it, where the default pads small ones with
-# explicit zeros for BLAS kernels.  One LU on a 2-core host, 1 BLAS thread,
-# default against relax=1 (interquartile range of alternating repetitions):
-# 4 x 225 rows 3.7-4.8 against 3.1-4.0 ms, 2 x 400 12.5-14.6 against
-# 6.2-7.9 ms, 625 rows 10.3-11.4 against 8.9-10.0 ms, two atoms at 2500 rows
-# 323-376 against 227-254 ms and at 5625 rows 5.0-5.3 against 4.2-4.5 s.
+# SuperLU's supernode relaxation: 1 leaves every supernode as the pattern makes
+# it.  BENCH_99ed2d1-unrelaxed-supernodes.json; CHANGES.md "supernodes unrelaxed".
 _SUPERNODE_RELAX = 1
-# Threshold partial pivoting for the sweep LUs: SuperLU keeps the diagonal
-# pivot unless it is below 0.1 of its column's largest entry, where the
-# default (1.0) takes the largest entry, so the stored fill-reducing order,
-# which assumes diagonal pivots, keeps its fill.  One LU with relax=1 on a
-# 2-core host, 1 BLAS thread, 1.0 against 0.1 (interquartile range of
-# alternating repetitions; L+U fill): 4 x 225 rows 2.9-3.4 against
-# 2.4-2.7 ms (42,132 against 35,184), 2 x 400 5.4-6.1 against 4.0-4.4 ms
-# (72,546 / 58,372), 625 rows 6.9-11.8 against 4.1-5.5 ms (86,358 /
-# 58,561), two atoms at 2500 rows 183-241 against 128-174 ms (1.03 M /
-# 0.82 M) and at 5625 rows 3.4-3.6 against 1.8 s (6.61 M / 4.83 M).  The
-# scaled backward error max|Ax - b| / (max|A| max|x|) over the default
-# window's blocks is 1.8e-16 at 1.0, 2.1e-16 at 0.1 and 1.2e-15 at 0.01.
+# Threshold partial pivoting: keep the diagonal pivot, which the stored order
+# assumes, unless below 0.1 of its column's largest entry.  CHANGES.md
+# "threshold partial pivoting"; BENCH_d6358eb-diagonal-pivoting.json.
 _DIAG_PIVOT_THRESH = 0.1
 
 
@@ -322,7 +270,6 @@ def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
 class _Update(NamedTuple):
     """The rank-r step from a base LU of A0 to the system at any value."""
 
-    support: np.ndarray  # the r columns E whose diagonal moves, by d
     eigenvalues: np.ndarray  # lam of K = diag(d) E^T A0^-1 E
     vectors: np.ndarray  # eigenvectors V of K
     inverse: np.ndarray  # V^-1 diag(d)
@@ -336,21 +283,21 @@ class _SweepSolver:
     of a slice of values, one column of ``x`` per value, SuperLU's layout,
     as :func:`_inverse_one_norms` calls it; ``trans`` is "N" or "H".
 
-    ``lu`` factors the base A0, ``shifts`` are t = v - v0, and R_v scales
-    the trace row ``row`` by ``ratios``.  A solve is the base's (one dense
-    product through the update's probes, else one solve with ``lu``)
-    followed by :meth:`corrected`.
+    ``lu`` factors the base A0 of ``block``, ``shifts`` are t = v - v0, and
+    R_v scales the block's trace row by ``ratios``.  A solve is the base's
+    (one dense product through the update's probes, else one solve with
+    ``lu``) followed by :meth:`corrected`.
     """
 
-    def __init__(self, lu, row: int, update: _Update, shifts: np.ndarray, ratios: np.ndarray):
-        self._lu, self._row, self._update, self._ratios = lu, row, update, ratios
+    def __init__(self, lu, block: _Block, update: _Update, shifts: np.ndarray, ratios: np.ndarray):
+        self._lu, self._block, self._update, self._ratios = lu, block, update, ratios
         # (I + tK)^-1 t = V diag(f) V^-1, f = t / (1 + t lam), a column per value
         self._weights = shifts / (1.0 + np.outer(update.eigenvalues, shifts))
 
     def solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
         if trans == "N":
             x = x.copy()
-            x[self._row] /= self._ratios
+            x[self._block.position[0]] /= self._ratios
         probes = self._update.probes
         if probes is not None:
             y = probes[trans][0] @ x
@@ -358,7 +305,7 @@ class _SweepSolver:
             y = self._lu.solve(x, trans=trans)
         y = self.corrected(y, x, trans)
         if trans != "N":
-            y[self._row] /= self._ratios
+            y[self._block.position[0]] /= self._ratios
         return y
 
     def corrected(self, y: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -371,16 +318,124 @@ class _SweepSolver:
         if u.probes is not None:
             return y - u.probes[trans][1] @ self._step(y, trans)
         rhs = np.broadcast_to(b, y.shape).copy()
-        rhs[u.support] -= self._step(y, trans)
+        rhs[self._block.support] -= self._step(y, trans)
         return self._lu.solve(rhs, trans=trans)
 
     def _step(self, y: np.ndarray, trans: str) -> np.ndarray:
         # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), and its
         # conjugate transpose
-        u = self._update
+        u, support = self._update, self._block.support
         if trans == "N":
-            return u.vectors @ (self._weights * (u.inverse @ y[u.support]))
-        return u.inverse.conj().T @ (self._weights.conj() * (u.vectors.conj().T @ y[u.support]))
+            return u.vectors @ (self._weights * (u.inverse @ y[support]))
+        return u.inverse.conj().T @ (self._weights.conj() * (u.vectors.conj().T @ y[support]))
+
+
+class _Block:
+    """The trace-replaced system A(v) = R_v (A0 + t E diag(d) E^T) of a
+    family L(v) = L(0) + v diag(D), stored in its fill-reducing order.
+
+    Row 0 of the generator ``liou`` = L(0) is replaced by the trace
+    functional (1 on each rho_ii entry) times the scale max(1, max|L(v)|),
+    a diagonal factor R_v on the left.  D (``step``, in vec(rho) order) must
+    be zero in row 0, so the replacement commutes with the update.  The
+    system is assembled once in CSC form with its whole diagonal in the
+    pattern, so every value shares one sparsity pattern, and with it one
+    fill-reducing order: SuperLU's ``MMD_AT_PLUS_A`` column order, a
+    function of the pattern alone, is computed once here (``position[k]`` is
+    where index k of vec(rho) sits), and the system is stored permuted by it
+    symmetrically (P A P^T, rows and columns alike), so that :meth:`factor`
+    runs SuperLU with ``permc_spec="NATURAL"``, ``relax=_SUPERNODE_RELAX``
+    and ``diag_pivot_thresh=_DIAG_PIVOT_THRESH``, which keeps the diagonal
+    pivots that order was computed for.  Only the diagonal moves with v, by
+    d in the r columns E (``support``) where D is nonzero, and so does R_v;
+    t = v - v0 for the system A0 at a base value v0.  Each value's scale and
+    1-norm are read from the diagonal (:meth:`scales_and_norms`), and
+    :meth:`update` carries an LU at a base to every other value.
+    """
+
+    def __init__(self, liou: sp.csr_matrix, step: np.ndarray):
+        size = liou.shape[0]
+        dim = math.isqrt(size)
+        head = liou.data[liou.indptr[0]:liou.indptr[1]]
+        body = liou[1:].tocoo()
+        diagonal = np.arange(1, size)
+        rows = np.concatenate([np.zeros(dim, dtype=int), body.row + 1, diagonal])
+        cols = np.concatenate([(dim + 1) * np.arange(dim), body.col, diagonal])
+        self.size = size
+        self.position = _fill_reducing_position(rows, cols, size)
+        self._system = system = sp.csc_matrix(
+            (
+                np.concatenate([np.zeros(dim), body.data, np.zeros(size - 1)]),
+                (self.position[rows], self.position[cols]),
+            ),
+            shape=(size, size),
+            dtype=complex,
+        )
+        self._trace = np.flatnonzero(system.indices == self.position[0])
+        columns = np.repeat(np.arange(size), np.diff(system.indptr))
+        # the entries that move with v: each column's diagonal (zero in the
+        # trace row) and the trace row's scale
+        self._on_diagonal = system.indices == columns
+        self._diagonal = system.data[self._on_diagonal]
+        # column l holds its diagonal entry exactly once; it belongs to
+        # index argsort(position)[l] of vec(rho)
+        self._step = step[np.argsort(self.position)]
+        self.support = np.flatnonzero(self._step)
+        fixed = np.abs(system.data)
+        fixed[self._on_diagonal] = 0.0
+        self._fixed_sums = np.add.reduceat(fixed, system.indptr[:-1])
+        self._traced = np.zeros(size)
+        self._traced[columns[self._trace]] = 1.0
+        # L(v) keeps row 0 of L(0); its largest entry enters the trace-row scale
+        self._scale_floor = max(1.0, float(np.abs(head).max(initial=0.0)), float(fixed.max()))
+
+    def scales_and_norms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """The trace-row scale max(1, max|L(v)|) and the 1-norm of the system
+        at each of ``values``, from the diagonal, the only entries that move."""
+        diagonal = np.abs(self._diagonal + values[:, None] * self._step)
+        scales = np.maximum(self._scale_floor, diagonal.max(axis=1))
+        norms = (self._fixed_sums + diagonal + scales[:, None] * self._traced).max(axis=1)
+        return scales, norms
+
+    def factor(self, value: float):
+        """The LU of the system at ``value`` and its scale and 1-norm, arrays
+        of one entry; SuperLU's RuntimeError when the system is singular."""
+        scale, norm = self.scales_and_norms(np.array([value]))
+        system = self._system.copy()
+        system.data[self._on_diagonal] = self._diagonal + value * self._step
+        system.data[self._trace] = scale
+        # stored in its fill-reducing order already
+        lu = splu(system, permc_spec="NATURAL", relax=_SUPERNODE_RELAX,
+                  diag_pivot_thresh=_DIAG_PIVOT_THRESH)
+        return lu, scale, norm
+
+    def update(self, lu, dense: bool) -> _Update | None:
+        """The rank-r update from the LU at a base to every value, with the
+        dense probes if ``dense``, or None when the eigenvectors of K are
+        too ill-conditioned to carry it."""
+        size, support = self.size, self.support
+        spread = self._step[support]
+        # A0^-1 E, or all of A0^-1 if dense, a slice of unit columns at a time
+        columns = np.arange(size) if dense else support
+        solved = np.empty((size, columns.size), dtype=complex, order="F")
+        step = max(1, _SLICE_ROWS // size)
+        for start in range(0, columns.size, step):
+            unit = np.zeros((size, min(step, columns.size - start)), dtype=complex, order="F")
+            unit[columns[start:start + step], np.arange(unit.shape[1])] = 1.0
+            solved[:, start:start + unit.shape[1]] = lu.solve(unit)
+        probes = None
+        if dense:
+            hermitian = solved.conj().T
+            probes = {"N": (solved, solved[:, support]), "H": (hermitian, hermitian[:, support])}
+            solved = solved[:, support]
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            # K = diag(d) E^T A0^-1 E
+            eigenvalues, vectors, inverse = _eig(spread[:, None] * solved[support])
+            cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
+                    * np.abs(inverse).sum(axis=0).max(initial=0.0))
+            if not cond <= _EIGVEC_COND_MAX:
+                return None
+        return _Update(eigenvalues, vectors, inverse * spread, probes)
 
 
 class ParametricSteadyState:
@@ -388,23 +443,10 @@ class ParametricSteadyState:
 
     G must be real and diagonal.  Then L(v) = L(0) + v*D with D diagonal,
     D[i + j*dim] = i*(g_j - g_i) for the diagonal g of G, and row 0 of D is
-    zero, so replacing row 0 by the trace functional commutes with the
-    update.  The trace-replaced system is assembled once in CSC form with
-    its whole diagonal in the pattern, so every value shares one sparsity
-    pattern, and with it one fill-reducing order: SuperLU's
-    ``MMD_AT_PLUS_A`` column order, a function of the pattern alone, is
-    computed once here, and the system is stored permuted by it
-    symmetrically (P A P^T, rows and columns alike), so that every LU
-    factors it with ``permc_spec="NATURAL"``, ``relax=_SUPERNODE_RELAX`` and
-    ``diag_pivot_thresh=_DIAG_PIVOT_THRESH``, which keeps the diagonal pivots
-    that order was computed for.
-    The right-hand side and the solutions pass through the permutation.
-
-    Only the diagonal moves with v, by d in the r columns E where D is
-    nonzero, and so does the trace row's scale, a diagonal factor R_v on the
-    left: A(v) = R_v (A0 + t E diag(d) E^T), t = v - v0, for the system A0
-    at a base value v0.  :meth:`solve_each` decides which values are bases.
-    When r is at most ``_ONE_BASE_MAX_RANK``, one LU of A0, at the value
+    zero, so every value's trace-replaced system is one :class:`_Block`,
+    assembled and ordered once, whose diagonal moves with v.
+    :meth:`solve_each` decides which values are bases.  When the block's
+    rank r is at most ``_ONE_BASE_MAX_RANK``, one LU of A0, at the value
     nearest the window's midpoint, serves every value by
     Sherman-Morrison-Woodbury, with one eigendecomposition
     K = V diag(lam) V^-1 of the r x r matrix K = diag(d) E^T A0^-1 E for
@@ -428,69 +470,32 @@ class ParametricSteadyState:
     or cond(V) exceeds ``_EIGVEC_COND_MAX``, and any one whose estimate is
     not finite or exceeds ``_COND_WARN``.  So every warning and singular
     verdict comes from the LU a single solve uses.
-    Each value's scale and 1-norm are read from the diagonal, the only
-    entries that move.  The states (Hermitian part, trace-normalized), their
-    density-matrix checks (:meth:`DensityMatrix.each`, one stacked
-    eigendecomposition), their residuals max|L_v(rho)| and their condition
-    estimates (lockstep, through the updated solves) are computed for a
-    slice of values at a time (``_SLICE_ROWS``), the residual from one
-    L(rho) closure built at v = 0, applied to the stack of states, plus
-    -i[vG, rho] by diagonal products: it never touches the factored system.
-    Then each value raises or warns as a single solve would, in order, as it
-    is yielded, and each solution carries its verdict against the scaled
-    tolerance.
+    The states (Hermitian part, trace-normalized), their density-matrix
+    checks (:meth:`DensityMatrix.each`, one stacked eigendecomposition),
+    their residuals max|L_v(rho)| and their condition estimates (lockstep,
+    through the updated solves) are computed for a slice of values at a
+    time (``_SLICE_ROWS``), the residual from one L(rho) closure built at
+    v = 0, applied to the stack of states, plus -i[vG, rho] by diagonal
+    products: it never touches the block.  Then each value raises or warns
+    as a single solve would, in order, as it is yielded, and each solution
+    carries its verdict against the scaled tolerance.
     """
 
     def __init__(self, model: LindbladModel, sweep_op: OperatorMatrix | None = None):
         dim = model.space.total_dim
-        size = dim * dim
         if sweep_op is None:
             g = np.zeros(dim)
         else:
             if sweep_op.space != model.space:
                 raise ValueError("sweep operator does not act on the model space")
             g = np.diag(sweep_op.matrix)
+            bad = g[~np.isfinite(g)]
+            if bad.size:
+                raise ValueError(f"sweep operator has a non-finite diagonal entry, {bad[0]}")
             if np.count_nonzero(sweep_op.matrix - np.diag(g)) or np.any(g.imag):
                 raise ValueError("sweep operator must be a real diagonal matrix")
             g = g.real
-        liou = build_superoperator(model)
-        head = liou.data[liou.indptr[0]:liou.indptr[1]]
-        body = liou[1:].tocoo()
-        diagonal = np.arange(1, size)
-        rows = np.concatenate([np.zeros(dim, dtype=int), body.row + 1, diagonal])
-        cols = np.concatenate([(dim + 1) * np.arange(dim), body.col, diagonal])
-        # position[k]: where index k of vec(rho) sits in the permuted system
-        position = _fill_reducing_position(rows, cols, size)
-        system = sp.csc_matrix(
-            (
-                np.concatenate([np.zeros(dim), body.data, np.zeros(size - 1)]),
-                (position[rows], position[cols]),
-            ),
-            shape=(size, size),
-            dtype=complex,
-        )
-        self._size = size
-        self._position = position
-        self._indices, self._indptr = system.indices, system.indptr
-        self._trace = np.flatnonzero(system.indices == position[0])
-        self._base = system.data
-        # column l holds its diagonal entry exactly once; it belongs to
-        # index k = i + j*dim of vec(rho)
-        k = np.argsort(position)
-        columns = np.repeat(np.arange(size), np.diff(system.indptr))
-        # the entries that move with v: each column's diagonal (zero in the
-        # trace row) and the trace row's scale
-        self._on_diagonal = system.indices == columns
-        self._diagonal = self._base[self._on_diagonal]
-        self._diagonal_step = 1j * (g[k // dim] - g[k % dim])
-        self._support = np.flatnonzero(self._diagonal_step)
-        fixed = np.abs(self._base)
-        fixed[self._on_diagonal] = 0.0
-        self._fixed_sums = np.add.reduceat(fixed, system.indptr[:-1])
-        self._traced = np.zeros(size)
-        self._traced[columns[self._trace]] = 1.0
-        # L(v) keeps row 0 of L(0); its largest entry enters the trace-row scale
-        self._scale_floor = max(1.0, float(np.abs(head).max(initial=0.0)), float(fixed.max()))
+        self._block = _Block(build_superoperator(model), 1j * (g - g[:, None]).ravel(order="F"))
         self._commutator = g[:, None] - g
         self._apply = _apply_factory(model)
         self.model = model
@@ -505,10 +510,14 @@ class ParametricSteadyState:
         DegenerateSteadyStateError (numerically singular system) or
         SteadyStateConvergenceError without a solution (state invariants
         violated), which ends it.  NearDegeneracyWarnings are emitted per
-        value, as it is yielded.
+        value, as it is yielded.  A non-finite value raises ValueError before
+        any factorization.
         """
         values = [float(value) for value in values]
-        if values and self._support.size <= _ONE_BASE_MAX_RANK:
+        for value in values:
+            if not math.isfinite(value):
+                raise ValueError(f"sweep values must be finite, got {value}")
+        if values and self._block.support.size <= _ONE_BASE_MAX_RANK:
             middle = 0.5 * (min(values) + max(values))
             outcomes = self._outcomes(min(values, key=lambda value: abs(value - middle)), values)
         else:
@@ -516,29 +525,13 @@ class ParametricSteadyState:
         for outcome in outcomes:
             yield self._solution(*outcome)
 
-    def _scales_and_norms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """The trace-row scale max(1, max|L(v)|) and the 1-norm of the system
-        at each of ``values``, from the diagonal, the only entries that move."""
-        diagonal = np.abs(self._diagonal + values[:, None] * self._diagonal_step)
-        scales = np.maximum(self._scale_floor, diagonal.max(axis=1))
-        norms = (self._fixed_sums + diagonal + scales[:, None] * self._traced).max(axis=1)
-        return scales, norms
-
     def _outcomes(self, base: float, values: list[float]) -> Iterator[tuple]:
         """The arguments of :meth:`_solution` for each of ``values``, in order,
         from the LU at ``base`` where it serves, else from each value's own."""
-        size, row = self._size, self._position[0]
-        scale, norm = self._scales_and_norms(np.array([base]))
-        data = self._base.copy()
-        data[self._on_diagonal] = self._diagonal + base * self._diagonal_step
-        data[self._trace] = scale
+        size = self._block.size
         alone = len(values) == 1
         try:
-            # the system is stored in its fill-reducing order already
-            lu = splu(
-                sp.csc_matrix((data, self._indices, self._indptr), shape=(size, size)),
-                permc_spec="NATURAL", relax=_SUPERNODE_RELAX, diag_pivot_thresh=_DIAG_PIVOT_THRESH,
-            )
+            lu, scale, norm = self._block.factor(base)
         except RuntimeError as exc:
             if alone:
                 raise DegenerateSteadyStateError(
@@ -550,14 +543,14 @@ class ParametricSteadyState:
             # with R_v divided out every value's right-hand side is scale e_row,
             # so one solve with the base LU serves every state
             rhs = np.zeros((size, 1), dtype=complex)
-            rhs[row] = scale
+            rhs[self._block.position[0]] = scale
             shared = lu.solve(rhs)
             # the LU alone is the base value's single solve, whose state and
             # estimate raise in _solution if not finite, so overflow is no warning
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 base_cond = norm[0] * _inverse_one_norms(lu, 1, size)[0]
                 if alone:
-                    states, residuals = self._states(np.array(values), shared.T[:, self._position])
+                    states, residuals = self._states(np.array(values), shared)
         if alone:
             yield (states[0], float(residuals[0]), bool(np.isfinite(shared).all()),
                    float(base_cond), float(scale[0]))
@@ -565,7 +558,7 @@ class ParametricSteadyState:
         # the base serves other values only if its own estimate is healthy
         update = None
         if lu is not None and base_cond <= _COND_WARN:
-            update = self._update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
+            update = self._block.update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
         if update is None:
             # each value its own base, so the first singular one is named exactly
             for value in values:
@@ -579,17 +572,17 @@ class ParametricSteadyState:
             per_slice = max(per_slice, _DENSE_SLICE_VALUES)
         for chunk in np.array_split(values, -(-len(values) // per_slice)):
             points = chunk.size
-            scales, norms = self._scales_and_norms(chunk)
-            solver = _SweepSolver(lu, row, update, chunk - base, scales / scale)
+            scales, norms = self._block.scales_and_norms(chunk)
+            solver = _SweepSolver(lu, self._block, update, chunk - base, scales / scale)
             # the shared solve repeated, a column per value, for the same reason
-            vecs = solver.corrected(np.repeat(shared, points, axis=1), rhs).T[:, self._position]
-            finite = np.isfinite(vecs).all(axis=1)
+            solved = solver.corrected(np.repeat(shared, points, axis=1), rhs)
+            finite = np.isfinite(solved).all(axis=0)
             # a point whose state or estimate is not finite gets its own LU
             # or raises on its own check below, in order, so overflow here
             # is no warning
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 conds = norms * _inverse_one_norms(solver, points, size)
-                states, residuals = self._states(chunk, vecs)
+                states, residuals = self._states(chunk, solved)
             if dense:
                 # the dense probes round otherwise than the LU's solves
                 conds[chunk == base] = base_cond
@@ -600,48 +593,20 @@ class ParametricSteadyState:
                     yield (states[p], float(residuals[p]), bool(finite[p]), float(conds[p]),
                            float(scales[p]))
 
-    def _update(self, lu, dense: bool) -> _Update | None:
-        """The rank-r update from the LU at a base to every value, with the
-        dense probes if ``dense``, or None when the eigenvectors of K are
-        too ill-conditioned to carry it."""
-        size, support = self._size, self._support
-        spread = self._diagonal_step[support]
-        # A0^-1 E, or all of A0^-1 if dense, a slice of unit columns at a time
-        columns = np.arange(size) if dense else support
-        solved = np.empty((size, columns.size), dtype=complex, order="F")
-        step = max(1, _SLICE_ROWS // size)
-        for start in range(0, columns.size, step):
-            unit = np.zeros((size, min(step, columns.size - start)), dtype=complex, order="F")
-            unit[columns[start:start + step], np.arange(unit.shape[1])] = 1.0
-            solved[:, start:start + unit.shape[1]] = lu.solve(unit)
-        probes = None
-        if dense:
-            hermitian = solved.conj().T
-            probes = {"N": (solved, solved[:, support]), "H": (hermitian, hermitian[:, support])}
-            solved = solved[:, support]
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # K = diag(d) E^T A0^-1 E
-            eigenvalues, vectors, inverse = _eig(spread[:, None] * solved[support])
-            cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
-                    * np.abs(inverse).sum(axis=0).max(initial=0.0))
-            if not cond <= _EIGVEC_COND_MAX:
-                return None
-        return _Update(support, eigenvalues, vectors, inverse * spread, probes)
-
     def _states(
-        self, values: np.ndarray, vecs: np.ndarray
+        self, values: np.ndarray, solved: np.ndarray
     ) -> tuple[list[DensityMatrix | ValueError], np.ndarray]:
         """Checked states and their residuals max|L_v(rho)|, for all of
         ``values`` at once.
 
-        ``vecs`` holds one solved vec(rho) per row.  Each state is its
-        Hermitian part divided by its trace, checked by
-        :meth:`DensityMatrix.each`: a state that fails comes back as the
-        ValueError of its check.
+        ``solved`` holds one solution of the block per column, in its
+        stored order.  Each state is its Hermitian part divided by its
+        trace, checked by :meth:`DensityMatrix.each`: a state that fails
+        comes back as the ValueError of its check.
         """
         dim = self.model.space.total_dim
-        # stacked[p, i, j] = vecs[p, i + j*dim], the column-stacked rho_p[i, j]
-        stacked = vecs.reshape(-1, dim, dim).transpose(0, 2, 1)
+        # stacked[p, i, j] = vec(rho_p)[i + j*dim], the column-stacked rho_p[i, j]
+        stacked = solved.T[:, self._block.position].reshape(-1, dim, dim).transpose(0, 2, 1)
         rho = 0.5 * (stacked + stacked.conj().transpose(0, 2, 1))
         # each point's own trace: a contiguous diagonal sums each point's
         # entries in the order np.trace sums one matrix
@@ -680,7 +645,7 @@ class ParametricSteadyState:
             )
 
         diagnostics = SolverDiagnostics(
-            dimension=self._size,
+            dimension=self._block.size,
             condition_estimate=cond,
             near_degenerate=near,
         )

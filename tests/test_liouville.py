@@ -492,6 +492,72 @@ def test_parametric_system_rejects_non_diagonal_operator():
         ParametricSteadyState(model, 1j * identity(model.space))
 
 
+@pytest.mark.parametrize("values, named", [([math.nan], "nan"), ([math.inf], "inf"),
+                                           ([0.0, math.nan, 1.0], "nan")],
+                         ids=["nan", "inf", "nan-among-finite"])
+def test_parametric_system_rejects_non_finite_values_before_factoring(monkeypatch, values, named):
+    # a non-finite value is the caller's error, not a singular generator: it
+    # is named before any factorization, with no warning on the way
+    system = _parametric_system("delta", "five", PhysicsParams())
+    factors = _factor_count(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=f"finite, got {named}$"):
+            list(system.solve_each(values))
+    assert factors == []
+
+
+def test_parametric_system_rejects_non_finite_sweep_operator(monkeypatch):
+    model = build_model(PhysicsParams())
+    diagonal = np.diag(scan_operator(PhysicsParams(), "delta").matrix).copy()
+    diagonal[1] = math.inf
+    factors = _factor_count(monkeypatch)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match=r"non-finite diagonal entry, \(inf\+0j\)"):
+            ParametricSteadyState(model, OperatorMatrix(model.space, np.diag(diagonal)))
+    assert factors == []
+
+
+@pytest.mark.parametrize(
+    "field, scheme, params, values",
+    [
+        ("delta", "five", PhysicsParams(), (-0.9, 0.3, 1.7)),
+        ("delta_p_cav", "two", PhysicsParams(), (-3.0, 0.5, 3.0)),
+        ("delta", "five", replace(PhysicsParams(), n_atoms=2, n_max=1), (0.0, 0.75, 1.5)),
+    ],
+    ids=["five-delta", "two-level-scan", "two-atoms"],
+)
+def test_stored_system_is_the_trace_replaced_generator_rebuilt_at_each_value(
+        monkeypatch, field, scheme, params, values):
+    # the matrix the block factors, un-permuted by its position, is the
+    # generator assembled for the model rebuilt at v with row 0 replaced by
+    # max(1, max|L(v)|) on the rho_ii entries, and its 1-norm is the block's,
+    # which adds each column's entries in another order: the diagonal update
+    # and the trace row's bookkeeping against an assembly that shares neither
+    system = _parametric_system(field, scheme, params)
+    step = scan_operator(replace(params, **{field: 0.0}), field, scheme)
+    block, model = system._block, system.model
+    factored, factor = [], liouville.splu
+    monkeypatch.setattr(liouville, "splu", lambda matrix, **kwargs: (
+        factored.append(matrix) or factor(matrix, **kwargs)))
+    dim = model.space.total_dim
+    size = dim * dim
+    for value in values:
+        shifted = LindbladModel(model.space, model.hamiltonian + value * step, model.collapse_ops)
+        liou = build_superoperator(shifted)
+        largest = float(np.abs(liou).max())
+        trace = sp.csr_matrix((np.full(dim, max(1.0, largest)),
+                               (np.zeros(dim, dtype=int), (dim + 1) * np.arange(dim))),
+                              shape=(size, size))
+        expected = sp.diags(np.r_[0.0, np.ones(size - 1)]) @ liou + trace
+        _, _, norm = block.factor(value)
+        stored = factored.pop()
+        unpermuted = stored[block.position][:, block.position]
+        assert np.abs(unpermuted - expected).max() <= 1e-13 * largest
+        assert norm[0] == pytest.approx(np.abs(expected).sum(axis=0).max(), rel=1e-15)
+
+
 def test_parametric_system_matches_rebuilt_generator():
     # the diagonal update reproduces a generator assembled at each value
     model = build_model(replace(PhysicsParams(), delta=0.0))
@@ -539,10 +605,11 @@ def test_parametric_residual_is_true_residual(field, scheme, params, values):
 def _system_matrix(system, value):
     """The trace-replaced system at ``value`` as stored: in its fill-reducing order."""
     size = system.model.space.total_dim ** 2
-    data = system._base.copy()
-    data[system._on_diagonal] = system._diagonal + value * system._diagonal_step
-    data[system._trace] = max(system._scale_floor, float(np.abs(data).max()))
-    return sp.csc_matrix((data, system._indices, system._indptr), shape=(size, size))
+    block = system._block
+    data = block._system.data.copy()
+    data[block._on_diagonal] = block._diagonal + value * block._step
+    data[block._trace] = max(block._scale_floor, float(np.abs(data).max()))
+    return sp.csc_matrix((data, block._system.indices, block._system.indptr), shape=(size, size))
 
 
 def _one_point_solve(system, value, relax=liouville._SUPERNODE_RELAX,
@@ -555,8 +622,8 @@ def _one_point_solve(system, value, relax=liouville._SUPERNODE_RELAX,
     lu = splu(matrix, permc_spec="NATURAL", relax=relax, diag_pivot_thresh=diag_pivot_thresh)
     # the trace row's scale cancels in the trace normalization
     rhs = np.zeros(matrix.shape[0], dtype=complex)
-    rhs[system._position[0]] = 1.0
-    rho = unvectorize(lu.solve(rhs)[system._position], system.model.space.total_dim)
+    rhs[system._block.position[0]] = 1.0
+    rho = unvectorize(lu.solve(rhs)[system._block.position], system.model.space.total_dim)
     rho = 0.5 * (rho + rho.conj().T)
     inverse = LinearOperator(
         matrix.shape,
@@ -602,7 +669,7 @@ def test_block_solve_is_the_per_point_solve(field, scheme, params, values):
     # test_every_point_matches_its_own_one_point_lu.
     system = _parametric_system(field, scheme, params)
     middle = 0.5 * (min(values) + max(values))
-    one_base = system._support.size <= liouville._ONE_BASE_MAX_RANK
+    one_base = system._block.support.size <= liouville._ONE_BASE_MAX_RANK
     assert one_base == (params.n_atoms != 2)
     bases = [min(values, key=lambda v: abs(v - middle))] if one_base else list(values)
     swept = dict(zip(values, system.solve_each(values), strict=True))
@@ -677,7 +744,7 @@ def test_block_lu_backward_error_on_the_default_window():
                   diag_pivot_thresh=liouville._DIAG_PIVOT_THRESH)
         # the right-hand side of the solve: the trace row's scale
         rhs = np.zeros(matrix.shape[0], dtype=complex)
-        rhs[system._position[0]] = matrix.diagonal()[system._position[0]]
+        rhs[system._block.position[0]] = matrix.diagonal()[system._block.position[0]]
         x = lu.solve(rhs)
         errors.append(np.abs(matrix @ x - rhs).max() / (np.abs(matrix.data).max() * np.abs(x).max()))
     assert max(errors) <= 1e-15
@@ -746,7 +813,7 @@ def test_stored_order_is_superlu_ordering_of_the_pattern(params, values):
     # point fills more at n_max 1 or 4.
     params = replace(params, delta=0.0)
     system = ParametricSteadyState(build_model(params), scan_operator(params, "delta"))
-    position = system._position
+    position = system._block.position
     options = {"relax": liouville._SUPERNODE_RELAX,
                "diag_pivot_thresh": liouville._DIAG_PIVOT_THRESH}
     for value in values:
@@ -902,8 +969,8 @@ def test_a_long_sweep_of_a_small_system_probes_through_the_dense_inverse(
     system = _parametric_system("delta", "five", PhysicsParams())
     values = np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, points)
     middle = 0.5 * (values[0] + values[-1])
-    modes, update = [], ParametricSteadyState._update
-    monkeypatch.setattr(ParametricSteadyState, "_update",
+    modes, update = [], liouville._Block.update
+    monkeypatch.setattr(liouville._Block, "update",
                         lambda self, lu, dense: modes.append(dense) or update(self, lu, dense))
     factors = _factor_count(monkeypatch)
     solves = _solve_count(monkeypatch)
@@ -914,7 +981,7 @@ def test_a_long_sweep_of_a_small_system_probes_through_the_dense_inverse(
     list(system.solve_each(values))
     assert modes == [dense] and len(factors) == 1
     if dense:
-        size = system._size
+        size = system._block.size
         assert len(solves) == -(-size // (liouville._SLICE_ROWS // size)) + single <= 40
     else:
         assert len(solves) > 100
@@ -930,8 +997,8 @@ def test_a_two_solve_sweep_solves_its_states_once_plus_once_per_slice(monkeypatc
                         lambda lu, points, size: np.ones(points))
     solves = _solve_count(monkeypatch)
     list(system.solve_each(values))
-    per_slice = liouville._SLICE_ROWS // system._size
-    update = -(-system._support.size // per_slice)
+    per_slice = liouville._SLICE_ROWS // system._block.size
+    update = -(-system._block.support.size // per_slice)
     assert len(solves) == update + 1 + -(-len(values) // per_slice)
 
 
