@@ -391,10 +391,13 @@ class _Block:
 
     def scales_and_norms(self, values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """The trace-row scale max(1, max|L(v)|) and the 1-norm of the system
-        at each of ``values``, from the diagonal, the only entries that move."""
-        diagonal = np.abs(self._diagonal + values[:, None] * self._step)
-        scales = np.maximum(self._scale_floor, diagonal.max(axis=1))
-        norms = (self._fixed_sums + diagonal + scales[:, None] * self._traced).max(axis=1)
+        at each of ``values``, from the diagonal, the only entries that move.
+        A huge value overflows them, and its system, to no warning: it fails
+        to factor, or its estimate reads singular."""
+        with np.errstate(over="ignore", invalid="ignore"):
+            diagonal = np.abs(self._diagonal + values[:, None] * self._step)
+            scales = np.maximum(self._scale_floor, diagonal.max(axis=1))
+            norms = (self._fixed_sums + diagonal + scales[:, None] * self._traced).max(axis=1)
         return scales, norms
 
     def factor(self, value: float):
@@ -402,7 +405,8 @@ class _Block:
         of one entry; SuperLU's RuntimeError when the system is singular."""
         scale, norm = self.scales_and_norms(np.array([value]))
         system = self._system.copy()
-        system.data[self._on_diagonal] = self._diagonal + value * self._step
+        with np.errstate(over="ignore", invalid="ignore"):
+            system.data[self._on_diagonal] = self._diagonal + value * self._step
         system.data[self._trace] = scale
         # stored in its fill-reducing order already
         lu = splu(system, permc_spec="NATURAL", relax=_SUPERNODE_RELAX,
@@ -454,15 +458,17 @@ class ParametricSteadyState:
     (A0 + t E diag(d) E^T)^-1 b = A0^-1 (b - E V diag(f) V^-1 diag(d) E^T
     A0^-1 b) with f = t / (1 + t lam), and its conjugate transpose
     likewise.  Once R_v is divided out, every value's right-hand side is
-    scale e_row, so every base solves its state once.  A value that is its
-    own base takes that solve and its LU's estimate: the LU alone is its
-    single solve.  Every other value's state is that solve through
-    :meth:`_SweepSolver.corrected`: one more solve with the base LU, or, in
-    a sweep with at least as many values as rows, of Liouville size at most
-    ``_DENSE_MAX_SIZE``, the product y - (A0^-1 E) step.  Such a sweep
-    solves the base LU for every unit vector, ``_SLICE_ROWS`` rows at a
-    time, keeps A0^-1 and A0^-H, and reads E^T A0^-1 E, A0^-1 E and A0^-H E
-    from them, so each estimator probe is one dense product and the
+    scale e_row, so every base solves its state once.  Every value then
+    goes through one slice computation of states, estimates and verdicts:
+    for a value that is its own base, its LU is the solver and that solve
+    the state, so the LU alone is its single solve.  Every other value's
+    state is that solve through :meth:`_SweepSolver.corrected`, with a
+    :class:`_SweepSolver` as its solver: one more solve with the base LU,
+    or, in a sweep with at least as many values as rows, of Liouville size
+    at most ``_DENSE_MAX_SIZE``, the product y - (A0^-1 E) step.  Such a
+    sweep solves the base LU for every unit vector, ``_SLICE_ROWS`` rows at
+    a time, keeps A0^-1 and A0^-H, and reads E^T A0^-1 E, A0^-1 E and
+    A0^-H E from them, so each estimator probe is one dense product and the
     correction; its base keeps its own LU's estimate.  Above
     ``_ONE_BASE_MAX_RANK`` every value is its own base.  A value whose
     system the base cannot serve gets its own LU, as a single solve: all of
@@ -539,32 +545,25 @@ class ParametricSteadyState:
                     condition_estimate=math.inf,
                 ) from exc
             lu = None
+        update = None
         if lu is not None:
             # with R_v divided out every value's right-hand side is scale e_row,
             # so one solve with the base LU serves every state
             rhs = np.zeros((size, 1), dtype=complex)
             rhs[self._block.position[0]] = scale
             shared = lu.solve(rhs)
-            # the LU alone is the base value's single solve, whose state and
-            # estimate raise in _solution if not finite, so overflow is no warning
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                base_cond = norm[0] * _inverse_one_norms(lu, 1, size)[0]
-                if alone:
-                    states, residuals = self._states(np.array(values), shared)
-        if alone:
-            yield (states[0], float(residuals[0]), bool(np.isfinite(shared).all()),
-                   float(base_cond), float(scale[0]))
-            return
-        # the base serves other values only if its own estimate is healthy
-        update = None
-        if lu is not None and base_cond <= _COND_WARN:
-            update = self._block.update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
-        if update is None:
+            if not alone:
+                # the base serves other values only if its own estimate is healthy
+                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                    base_cond = norm[0] * _inverse_one_norms(lu, 1, size)[0]
+                if base_cond <= _COND_WARN:
+                    update = self._block.update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
+        if update is None and not alone:
             # each value its own base, so the first singular one is named exactly
             for value in values:
                 yield from self._outcomes(value, [value])
             return
-        dense = update.probes is not None
+        dense = not alone and update.probes is not None
         # equal slices, so that no slice of a sweep is one value: BLAS runs a
         # product with one column as a matrix-vector product, on every thread
         per_slice = max(1, _SLICE_ROWS // size)
@@ -573,9 +572,11 @@ class ParametricSteadyState:
         for chunk in np.array_split(values, -(-len(values) // per_slice)):
             points = chunk.size
             scales, norms = self._block.scales_and_norms(chunk)
-            solver = _SweepSolver(lu, self._block, update, chunk - base, scales / scale)
-            # the shared solve repeated, a column per value, for the same reason
-            solved = solver.corrected(np.repeat(shared, points, axis=1), rhs)
+            # a value that is its own base has its LU alone as its single solve;
+            # else the shared solve repeated, a column per value, for the same reason
+            solver = lu if alone else _SweepSolver(lu, self._block, update, chunk - base,
+                                                   scales / scale)
+            solved = shared if alone else solver.corrected(np.repeat(shared, points, axis=1), rhs)
             finite = np.isfinite(solved).all(axis=0)
             # a point whose state or estimate is not finite gets its own LU
             # or raises on its own check below, in order, so overflow here
@@ -887,6 +888,8 @@ def evolve(
         return rho0
     if dt is None:
         dt = min(stable_timestep(model), t_final)
+    if not math.isfinite(t_final / dt):
+        raise ValueError(f"t_final / dt overflows the step count, t_final = {t_final}, dt = {dt}")
     steps = max(1, math.ceil(t_final / dt))
     step = t_final / steps
     apply = _apply_factory(model)

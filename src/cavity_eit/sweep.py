@@ -113,13 +113,16 @@ class SweepSpec:
 
     @staticmethod
     def check_window(start: float, stop: float, n_points) -> None:
-        """Raise ConfigError unless ``start < stop`` are finite, ``n_points``
-        is an integer of at least 2 and the grid steps at least ``GRID_TOL``
-        of the window's largest |value|."""
+        """Raise ConfigError unless ``start < stop`` are finite, with a
+        finite width ``stop - start``, ``n_points`` is an integer of at
+        least 2 and the grid steps at least ``GRID_TOL`` of the window's
+        largest |value|."""
         if not (math.isfinite(start) and math.isfinite(stop)):
             raise ConfigError("sweep window must be finite")
         if not start < stop:
             raise ConfigError("sweep window needs start < stop")
+        if not math.isfinite(stop - start):
+            raise ConfigError(f"sweep window width overflows, from {start!r} to {stop!r} MHz")
         if not (isinstance(n_points, numbers.Integral) and n_points >= 2):
             raise ConfigError(f"n_points must be an integer of at least 2, got {n_points!r}")
         step = (stop - start) / (n_points - 1)
@@ -241,22 +244,27 @@ class ExtremaResult(NamedTuple):
 
 
 def _refine(x: np.ndarray, y: np.ndarray, idx: int) -> tuple[float, float]:
-    """Vertex of the parabola through three neighbouring grid points."""
-    denom = y[idx - 1] - 2.0 * y[idx] + y[idx + 1]
-    if denom == 0.0:
-        return float(x[idx]), float(y[idx])
-    step = x[idx + 1] - x[idx]
-    shift = 0.5 * (y[idx - 1] - y[idx + 1]) / denom
-    return float(x[idx] + shift * step), float(y[idx] - 0.125 * (y[idx - 1] - y[idx + 1]) ** 2 / denom)
+    """Vertex of the parabola through three neighbouring grid points; one
+    that overflows comes back not finite, with no warning."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        denom = y[idx - 1] - 2.0 * y[idx] + y[idx + 1]
+        if denom == 0.0:
+            return float(x[idx]), float(y[idx])
+        step = x[idx + 1] - x[idx]
+        shift = 0.5 * (y[idx - 1] - y[idx + 1]) / denom
+        return (float(x[idx] + shift * step),
+                float(y[idx] - 0.125 * (y[idx - 1] - y[idx + 1]) ** 2 / denom))
 
 
 def find_extrema(records: list[SpectrumRecord], *, allow_edge: bool = False) -> ExtremaResult:
     """Locate the dominant transmission maximum and minimum of one engine.
 
-    The sweep values must form a uniform grid (ValueError otherwise).  Grid
-    extrema are refined parabolically; an extremum on the window edge
-    raises EdgeExtremumError unless ``allow_edge`` accepts the raw grid
-    point (a plain resonance line has no interior minimum, for instance).
+    The sweep values must form a uniform grid and the transmissions be
+    finite (ValueError otherwise).  Grid extrema are refined parabolically,
+    and a refined extremum that is not finite raises ValueError; an
+    extremum on the window edge raises EdgeExtremumError unless
+    ``allow_edge`` accepts the raw grid point (a plain resonance line has
+    no interior minimum, for instance).
     """
     if len(records) < 5:
         raise ValueError("extrema search needs at least 5 points")
@@ -266,10 +274,14 @@ def find_extrema(records: list[SpectrumRecord], *, allow_edge: bool = False) -> 
     ordered = sorted(records, key=lambda r: r.sweep_value)
     x = np.array([r.sweep_value for r in ordered])
     y = np.array([r.transmission_rel for r in ordered])
-    # the refinement's parabola takes one grid step
-    steps = np.diff(x)
-    if not steps.min() > 0.0 or np.ptp(steps) > GRID_TOL * np.abs(x).max():
-        raise ValueError("extrema search needs a uniform sweep grid")
+    if not np.isfinite(y).all():
+        raise ValueError("extrema search needs finite transmissions")
+    # the refinement's parabola takes one grid step; one that overflows is
+    # no uniform step, and no warning
+    with np.errstate(over="ignore"):
+        steps = np.diff(x)
+        if not steps.min() > 0.0 or np.ptp(steps) > GRID_TOL * np.abs(x).max():
+            raise ValueError("extrema search needs a uniform sweep grid")
 
     def locate(idx: int) -> tuple[float, float]:
         if idx in (0, len(x) - 1):
@@ -278,7 +290,10 @@ def find_extrema(records: list[SpectrumRecord], *, allow_edge: bool = False) -> 
             raise EdgeExtremumError(
                 f"extremum at sweep value {x[idx]} MHz lies on the window edge"
             )
-        return _refine(x, y, idx)
+        refined = _refine(x, y, idx)
+        if not np.isfinite(refined).all():
+            raise ValueError(f"extremum refined at sweep value {x[idx]} MHz is not finite")
+        return refined
 
     delta_max, t_max = locate(int(np.argmax(y)))
     delta_min, t_min = locate(int(np.argmin(y)))

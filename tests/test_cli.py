@@ -139,6 +139,11 @@ def test_config_rejects_bad_physics():
         RunConfig.from_text("start = 2.0\nstop = 1.0\n")
 
 
+def test_config_rejects_a_window_whose_width_overflows():
+    with pytest.raises(ConfigError, match=r"^wide\.cfg: sweep window width overflows"):
+        RunConfig.from_text("start = -1e308\nstop = 1e308\n", source="wide.cfg")
+
+
 def _read_rows(path):
     with open(path, encoding="utf-8") as handle:
         lines = [ln.rstrip("\n") for ln in handle if not ln.startswith("#")]
@@ -728,6 +733,61 @@ def test_overflowing_parameters_exit_with_one_error_line(tmp_path, config_text, 
     else:
         assert record["message"].endswith(cause)
         assert "multiple steady states" not in record["message"]
+    assert not out.exists()
+
+
+_HUGE_T_REL = "".join(f"{x},{t},0,,,me,\n" for x, t in
+                      zip(range(1, 6), ("1e308", "1.7e308", "-1.7e308", "1.7e308", "1")))
+# a grid whose first step overflows
+_HUGE_STEP = "".join(f"{x},{t},0,,,me,\n" for x, t in
+                     zip(("-1.7e308", "1.6e308", "1.65e308", "1.7e308", "1.75e308"),
+                         (0.1, 0.5, 0.9, 0.5, 0.1)))
+
+
+@pytest.mark.parametrize(
+    "text, command, error, message",
+    [
+        ("start = -1e308\nstop = 1e308\n", ["eit-sweep"], "ConfigError",
+         "huge.cfg: sweep window width overflows"),
+        ("", ["cavity-scan", "--start", "-1e308", "--stop", "1e308"], "ConfigError",
+         "sweep window width overflows"),
+        ("", ["cavity-scan", "--start", "0", "--stop", "1.7e308", "--points", "5"],
+         "DegenerateSteadyStateError", "sparse factorization failed"),
+        ("start = 1e308\nstop = 1.7e308\n", ["eit-sweep"], "DegenerateSteadyStateError",
+         "sparse factorization failed"),
+        (_HUGE_T_REL, ["analyze"], "ConfigError",
+         "engine 'me': extremum refined at sweep value"),
+        (_HUGE_STEP, ["analyze"], "ConfigError", "engine 'me': extrema search needs a uniform"),
+    ],
+    ids=["config-window-width", "scan-window-width", "scan-huge-values", "config-huge-values",
+         "analyze-huge-t-rel", "analyze-huge-grid-step"],
+)
+def test_huge_sweep_values_exit_with_one_error_line(tmp_path, text, command, error, message):
+    # a window whose width overflows, sweep values that overflow the system,
+    # and transmissions or a grid step that overflow the extrema search each
+    # exit 2 with the record as the only line on stderr, under Python's
+    # default warning filters, and no output
+    out = tmp_path / "o.csv"
+    if command == ["analyze"]:
+        source = tmp_path / "huge.csv"
+        source.write_text(_HEADER.replace("delta_MHz", "x") + text, encoding="utf-8")
+        argv = [*command, "--in", str(source)]
+    else:
+        config = tmp_path / "huge.cfg"
+        config.write_text(text, encoding="utf-8")
+        argv = [*command, "--config", str(config), "--out", str(out)]
+    package_root = Path(cavity_eit.__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-m", "cavity_eit", *argv],
+        env=dict(os.environ, PYTHONPATH=str(package_root)), capture_output=True, text=True,
+        timeout=300,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    (line,) = proc.stderr.splitlines()
+    record = _strict_json(line)
+    assert record["error"] == error
+    assert message in record["message"]
     assert not out.exists()
 
 

@@ -1305,6 +1305,14 @@ def test_evolve_validates_inputs():
             evolve(model, rho0, 1.0, dt=dt)
 
 
+def test_evolve_rejects_a_step_count_that_overflows():
+    # t_final / dt is inf for a subnormal step, which no step count holds
+    model, space, _ = _qubit_decay()
+    rho0 = DensityMatrix(space, np.diag([0.5, 0.5]).astype(complex))
+    with pytest.raises(ValueError, match=r"t_final = 10000000000\.0, dt = 5e-324"):
+        evolve(model, rho0, 1e10, dt=5e-324)
+
+
 def test_trace_distance_orthogonal_states():
     space = HilbertSpace((2,))
     ground = DensityMatrix(space, np.diag([1.0, 0.0]).astype(complex))

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -59,6 +60,16 @@ def test_spec_validation():
     # a step below 1e-10 of the largest |value| is finer than the written grid
     with pytest.raises(ConfigError, match="12 significant digits"):
         SweepSpec(**{**good, "start": 1000.0, "stop": 1000.000001, "n_points": 241})
+
+
+def test_spec_rejects_a_window_whose_width_overflows():
+    # -1e308..1e308 is finite at both ends, but stop - start is inf, so the
+    # grid would step by inf and read NaN
+    with pytest.raises(ConfigError, match="width overflows"):
+        SweepSpec(variable=VAR_PROBE_CAVITY, start=-1e308, stop=1e308, n_points=5,
+                  base_params=WORKING_POINT)
+    SweepSpec(variable=VAR_PROBE_CAVITY, start=-8e307, stop=8e307, n_points=5,
+              base_params=WORKING_POINT)
 
 
 def _forbidden_solve(*args, **kwargs):
@@ -355,6 +366,26 @@ def test_find_extrema_input_validation():
     ]
     with pytest.raises(ValueError):
         find_extrema(mixed)
+
+
+def test_find_extrema_rejects_transmissions_that_are_not_finite():
+    records = _lorentzian_records()
+    records[7] = replace(records[7], transmission_rel=math.nan)
+    with pytest.raises(ValueError, match="finite transmissions"):
+        find_extrema(records, allow_edge=True)
+
+
+def test_find_extrema_rejects_a_refined_extremum_that_overflows():
+    # finite transmissions whose parabola overflows: the refinement runs
+    # without a warning and the extremum is refused, never returned as NaN
+    records = [
+        SpectrumRecord(float(x), t, 0.0, None, None, None, ENGINE_MASTER_EQUATION)
+        for x, t in zip(range(1, 6), [1e308, 1.7e308, -1.7e308, 1.7e308, 1.0])
+    ]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(ValueError, match="not finite"):
+            find_extrema(records)
 
 
 def test_find_extrema_rejects_a_non_uniform_grid():
