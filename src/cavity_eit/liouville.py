@@ -10,21 +10,24 @@ factorization.
 A family H + v*G with G real diagonal changes only the diagonal of that
 system, in its r columns where G's diagonal differs between the two
 indices of rho.  One block (``_Block``) owns the system: it assembles it
-once, orders it for sparse LU once, stores it in that order, factors it at
-any value and, from an LU at a base value, sets up the rank-r update to
-every other value (Sherman-Morrison-Woodbury, with one r x r
-eigendecomposition for the whole sweep; for a sweep with at least as many
-values as rows, of a small system, through the dense A0^-1).  The LUs leave
-SuperLU's supernodes unrelaxed and use threshold partial pivoting that
-keeps the diagonal pivots the stored order assumes.
+once, orders it for sparse LU once, stores it in that order and factors it
+at any value.  The LUs leave SuperLU's supernodes unrelaxed and use
+threshold partial pivoting that keeps the diagonal pivots the stored order
+assumes.  One base (``_Base``) is the block's LU at a base value and what
+is read from it: its scale and 1-norm, the one solve of the right-hand side
+every value shares, its own condition estimate and, when it serves other
+values, the rank-r update to them (Sherman-Morrison-Woodbury, with one
+r x r eigendecomposition for the whole sweep; for a sweep with at least as
+many values as rows, of a small system, through the dense A0^-1).
 The model's side (``ParametricSteadyState``) chooses the bases: one for a
 sweep when r is small (one atom), else every value (two atoms), and any
-value the base cannot serve.  Every base solves its state once; each
-value's state is that solve passed through its rank-r correction (none at
-the base itself).  States (one stacked eigendecomposition), residuals and
-condition estimates are computed for a slice of values at once, one column
-per value.  Each solution carries its residual verdict; a single solve,
-the one-value case at v = 0, raises a miss.
+value the base cannot serve.  Each base gives every slice of values its
+solver and solved states: its shared solve passed through each value's
+rank-r correction (none at the base itself).  States (one stacked
+eigendecomposition), residuals and condition estimates are computed for a
+slice of values at once, one column per value.  Each solution carries its
+residual verdict; a single solve, the one-value case at v = 0, raises a
+miss.
 L(rho) itself is applied by one closure built once per model, for a stack
 (points, dim, dim) of Hermitian states: one sparse matrix X on the
 row-major flat state gives x = K rho + J(rho)/2, with K = -iH_eff and the
@@ -43,7 +46,6 @@ import math
 import warnings
 from collections.abc import Iterable, Iterator
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 import scipy.linalg
@@ -267,45 +269,36 @@ def build_superoperator(model: LindbladModel) -> sp.csr_matrix:
     return liou
 
 
-class _Update(NamedTuple):
-    """The rank-r step from a base LU of A0 to the system at any value."""
-
-    eigenvalues: np.ndarray  # lam of K = diag(d) E^T A0^-1 E
-    vectors: np.ndarray  # eigenvectors V of K
-    inverse: np.ndarray  # V^-1 diag(d)
-    # on a long sweep of a small system, "N": (A0^-1, A0^-1 E) and
-    # "H": (A0^-H, A0^-H E) as dense matrices; else None
-    probes: dict[str, tuple[np.ndarray, np.ndarray]] | None
-
-
 class _SweepSolver:
     """``solve(x, trans)`` with the systems A(v) = R_v (A0 + t E diag(d) E^T)
     of a slice of values, one column of ``x`` per value, SuperLU's layout,
     as :func:`_inverse_one_norms` calls it; ``trans`` is "N" or "H".
 
-    ``lu`` factors the base A0 of ``block``, ``shifts`` are t = v - v0, and
-    R_v scales the block's trace row by ``ratios``.  A solve is the base's
-    (one dense product through the update's probes, else one solve with
-    ``lu``) followed by :meth:`corrected`.
+    ``base`` serves the values from its LU of A0 and its update, ``shifts``
+    are t = v - v0, and R_v scales the block's trace row by ``ratios``.  A
+    solve is the base's (one dense product through the probes, else one
+    solve with its LU) followed by :meth:`corrected`.
     """
 
-    def __init__(self, lu, block: _Block, update: _Update, shifts: np.ndarray, ratios: np.ndarray):
-        self._lu, self._block, self._update, self._ratios = lu, block, update, ratios
-        # (I + tK)^-1 t = V diag(f) V^-1, f = t / (1 + t lam), a column per value
-        self._weights = shifts / (1.0 + np.outer(update.eigenvalues, shifts))
+    def __init__(self, base: _Base, shifts: np.ndarray, ratios: np.ndarray):
+        self._base, self._ratios = base, ratios
+        # (I + tK)^-1 t = V diag(f) V^-1, f = t / (1 + t lam), a column per
+        # value; a huge t overflows f, and its value gets its own LU
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self._weights = shifts / (1.0 + np.outer(base.eigenvalues, shifts))
 
     def solve(self, x: np.ndarray, trans: str = "N") -> np.ndarray:
+        base = self._base
         if trans == "N":
             x = x.copy()
-            x[self._block.position[0]] /= self._ratios
-        probes = self._update.probes
-        if probes is not None:
-            y = probes[trans][0] @ x
+            x[base.block.position[0]] /= self._ratios
+        if base.probes is not None:
+            y = base.probes[trans][0] @ x
         else:
-            y = self._lu.solve(x, trans=trans)
+            y = base.lu.solve(x, trans=trans)
         y = self.corrected(y, x, trans)
         if trans != "N":
-            y[self._block.position[0]] /= self._ratios
+            y[base.block.position[0]] /= self._ratios
         return y
 
     def corrected(self, y: np.ndarray, b: np.ndarray, trans: str = "N") -> np.ndarray:
@@ -314,20 +307,21 @@ class _SweepSolver:
         conjugate transpose's from y = A0^-H b: y minus (A0^-1 E) step
         through the dense probes, else one solve with the base LU of b minus
         E step.  The step is zero at the base."""
-        u = self._update
-        if u.probes is not None:
-            return y - u.probes[trans][1] @ self._step(y, trans)
+        base = self._base
+        if base.probes is not None:
+            return y - base.probes[trans][1] @ self._step(y, trans)
         rhs = np.broadcast_to(b, y.shape).copy()
-        rhs[self._block.support] -= self._step(y, trans)
-        return self._lu.solve(rhs, trans=trans)
+        rhs[base.block.support] -= self._step(y, trans)
+        return base.lu.solve(rhs, trans=trans)
 
     def _step(self, y: np.ndarray, trans: str) -> np.ndarray:
         # A(v)^-1 = A0^-1 (I - E V diag(f) V^-1 diag(d) E^T A0^-1), and its
         # conjugate transpose
-        u, support = self._update, self._block.support
+        base = self._base
+        y = y[base.block.support]
         if trans == "N":
-            return u.vectors @ (self._weights * (u.inverse @ y[support]))
-        return u.inverse.conj().T @ (self._weights.conj() * (u.vectors.conj().T @ y[support]))
+            return base.vectors @ (self._weights * (base.inverse @ y))
+        return base.inverse.conj().T @ (self._weights.conj() * (base.vectors.conj().T @ y))
 
 
 class _Block:
@@ -349,8 +343,8 @@ class _Block:
     pivots that order was computed for.  Only the diagonal moves with v, by
     d in the r columns E (``support``) where D is nonzero, and so does R_v;
     t = v - v0 for the system A0 at a base value v0.  Each value's scale and
-    1-norm are read from the diagonal (:meth:`scales_and_norms`), and
-    :meth:`update` carries an LU at a base to every other value.
+    1-norm are read from the diagonal (:meth:`scales_and_norms`), and a
+    :class:`_Base` carries an LU at a base to every other value.
     """
 
     def __init__(self, liou: sp.csr_matrix, step: np.ndarray):
@@ -413,12 +407,39 @@ class _Block:
                   diag_pivot_thresh=_DIAG_PIVOT_THRESH)
         return lu, scale, norm
 
-    def update(self, lu, dense: bool) -> _Update | None:
-        """The rank-r update from the LU at a base to every value, with the
-        dense probes if ``dense``, or None when the eigenvectors of K are
-        too ill-conditioned to carry it."""
-        size, support = self.size, self.support
-        spread = self._step[support]
+
+class _Base:
+    """The LU of a :class:`_Block` at a base value v0 and what is read from it.
+
+    It holds the LU, its trace-row scale and 1-norm (``factor``'s arrays of
+    one entry), the right-hand side scale e_row that every value shares once
+    R_v is divided out, and ``shared``, that right-hand side solved with the
+    LU: the base's state, and every other value's before its correction.
+    :meth:`serve` adds the base's own estimate ``cond`` and, when that is
+    healthy, the rank-r update to every value: the eigenvalues lam, the
+    eigenvectors V and V^-1 diag(d) of K = diag(d) E^T A0^-1 E, and, on a
+    long sweep of a small system, the dense ``probes``.  :meth:`slice` gives
+    a slice of values its solver, solved columns, scales and 1-norms.
+    """
+
+    def __init__(self, block: _Block, value: float):
+        self.block, self.value = block, value
+        self.lu, self.scale, self.norm = block.factor(value)
+        self.rhs = np.zeros((block.size, 1), dtype=complex)
+        self.rhs[block.position[0]] = self.scale
+        self.shared = self.lu.solve(self.rhs)
+        self.cond = self.eigenvalues = self.vectors = self.inverse = self.probes = None
+
+    def serve(self, dense: bool) -> bool:
+        """Whether the base serves other values: its own estimate is at most
+        ``_COND_WARN`` and cond_1(V) at most ``_EIGVEC_COND_MAX``.  Then it
+        holds the update, with the dense probes A0^-1 and A0^-H if ``dense``."""
+        size, support = self.block.size, self.block.support
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            self.cond = self.norm[0] * _inverse_one_norms(self.lu, 1, size)[0]
+        if not self.cond <= _COND_WARN:
+            return False
+        spread = self.block._step[support]
         # A0^-1 E, or all of A0^-1 if dense, a slice of unit columns at a time
         columns = np.arange(size) if dense else support
         solved = np.empty((size, columns.size), dtype=complex, order="F")
@@ -426,20 +447,31 @@ class _Block:
         for start in range(0, columns.size, step):
             unit = np.zeros((size, min(step, columns.size - start)), dtype=complex, order="F")
             unit[columns[start:start + step], np.arange(unit.shape[1])] = 1.0
-            solved[:, start:start + unit.shape[1]] = lu.solve(unit)
-        probes = None
+            solved[:, start:start + unit.shape[1]] = self.lu.solve(unit)
         if dense:
-            hermitian = solved.conj().T
-            probes = {"N": (solved, solved[:, support]), "H": (hermitian, hermitian[:, support])}
+            adjoint = solved.conj().T
+            self.probes = {"N": (solved, solved[:, support]), "H": (adjoint, adjoint[:, support])}
             solved = solved[:, support]
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             # K = diag(d) E^T A0^-1 E
-            eigenvalues, vectors, inverse = _eig(spread[:, None] * solved[support])
-            cond = (np.abs(vectors).sum(axis=0).max(initial=0.0)
+            self.eigenvalues, self.vectors, inverse = _eig(spread[:, None] * solved[support])
+            cond = (np.abs(self.vectors).sum(axis=0).max(initial=0.0)
                     * np.abs(inverse).sum(axis=0).max(initial=0.0))
-            if not cond <= _EIGVEC_COND_MAX:
-                return None
-        return _Update(eigenvalues, vectors, inverse * spread, probes)
+        self.inverse = inverse * spread if cond <= _EIGVEC_COND_MAX else None
+        return self.inverse is not None
+
+    def slice(self, values: np.ndarray) -> tuple:
+        """The solver of ``values`` (as :func:`_inverse_one_norms` calls it),
+        their solved states, a column per value, and their scales and 1-norms.
+        A base that serves only itself is its own LU and shared solve."""
+        if self.inverse is None:
+            return self.lu, self.shared, self.scale, self.norm
+        scales, norms = self.block.scales_and_norms(values)
+        solver = _SweepSolver(self, values - self.value, scales / self.scale)
+        # the shared solve repeated, a column per value: BLAS runs a product
+        # with one column as a matrix-vector product, on every thread
+        return solver, solver.corrected(np.repeat(self.shared, values.size, axis=1), self.rhs), \
+            scales, norms
 
 
 class ParametricSteadyState:
@@ -449,8 +481,10 @@ class ParametricSteadyState:
     D[i + j*dim] = i*(g_j - g_i) for the diagonal g of G, and row 0 of D is
     zero, so every value's trace-replaced system is one :class:`_Block`,
     assembled and ordered once, whose diagonal moves with v.
-    :meth:`solve_each` decides which values are bases.  When the block's
-    rank r is at most ``_ONE_BASE_MAX_RANK``, one LU of A0, at the value
+    :meth:`solve_each` decides which values are bases, and each base is one
+    :class:`_Base`: the LU of A0 with its scale and 1-norm, its shared solve,
+    its own estimate and, when it serves other values, its update.  When the
+    block's rank r is at most ``_ONE_BASE_MAX_RANK``, one base, at the value
     nearest the window's midpoint, serves every value by
     Sherman-Morrison-Woodbury, with one eigendecomposition
     K = V diag(lam) V^-1 of the r x r matrix K = diag(d) E^T A0^-1 E for
@@ -459,9 +493,11 @@ class ParametricSteadyState:
     A0^-1 b) with f = t / (1 + t lam), and its conjugate transpose
     likewise.  Once R_v is divided out, every value's right-hand side is
     scale e_row, so every base solves its state once.  Every value then
-    goes through one slice computation of states, estimates and verdicts:
-    for a value that is its own base, its LU is the solver and that solve
-    the state, so the LU alone is its single solve.  Every other value's
+    goes through one slice computation of states, estimates and verdicts,
+    from the solver and solved states :meth:`_Base.slice` gives: for a value
+    that is its own base, its LU is the solver, that solve the state, and
+    ``factor``'s scale and 1-norm its own, so the LU alone is its single
+    solve.  Every other value's
     state is that solve through :meth:`_SweepSolver.corrected`, with a
     :class:`_SweepSolver` as its solver: one more solve with the base LU,
     or, in a sweep with at least as many values as rows, of Liouville size
@@ -531,64 +567,44 @@ class ParametricSteadyState:
         for outcome in outcomes:
             yield self._solution(*outcome)
 
-    def _outcomes(self, base: float, values: list[float]) -> Iterator[tuple]:
+    def _outcomes(self, base_value: float, values: list[float]) -> Iterator[tuple]:
         """The arguments of :meth:`_solution` for each of ``values``, in order,
-        from the LU at ``base`` where it serves, else from each value's own."""
+        from the LU at ``base_value`` where it serves, else from each value's own."""
         size = self._block.size
         alone = len(values) == 1
         try:
-            lu, scale, norm = self._block.factor(base)
+            base = _Base(self._block, base_value)
         except RuntimeError as exc:
             if alone:
                 raise DegenerateSteadyStateError(
                     f"sparse factorization failed, generator is singular: {exc}",
                     condition_estimate=math.inf,
                 ) from exc
-            lu = None
-        update = None
-        if lu is not None:
-            # with R_v divided out every value's right-hand side is scale e_row,
-            # so one solve with the base LU serves every state
-            rhs = np.zeros((size, 1), dtype=complex)
-            rhs[self._block.position[0]] = scale
-            shared = lu.solve(rhs)
-            if not alone:
-                # the base serves other values only if its own estimate is healthy
-                with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                    base_cond = norm[0] * _inverse_one_norms(lu, 1, size)[0]
-                if base_cond <= _COND_WARN:
-                    update = self._block.update(lu, len(values) >= size and size <= _DENSE_MAX_SIZE)
-        if update is None and not alone:
+            base = None
+        if not alone and not (base and base.serve(size <= min(len(values), _DENSE_MAX_SIZE))):
             # each value its own base, so the first singular one is named exactly
             for value in values:
                 yield from self._outcomes(value, [value])
             return
-        dense = not alone and update.probes is not None
         # equal slices, so that no slice of a sweep is one value: BLAS runs a
         # product with one column as a matrix-vector product, on every thread
         per_slice = max(1, _SLICE_ROWS // size)
-        if dense:
+        if base.probes is not None:
             per_slice = max(per_slice, _DENSE_SLICE_VALUES)
         for chunk in np.array_split(values, -(-len(values) // per_slice)):
-            points = chunk.size
-            scales, norms = self._block.scales_and_norms(chunk)
-            # a value that is its own base has its LU alone as its single solve;
-            # else the shared solve repeated, a column per value, for the same reason
-            solver = lu if alone else _SweepSolver(lu, self._block, update, chunk - base,
-                                                   scales / scale)
-            solved = shared if alone else solver.corrected(np.repeat(shared, points, axis=1), rhs)
+            solver, solved, scales, norms = base.slice(chunk)
             finite = np.isfinite(solved).all(axis=0)
             # a point whose state or estimate is not finite gets its own LU
             # or raises on its own check below, in order, so overflow here
             # is no warning
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                conds = norms * _inverse_one_norms(solver, points, size)
+                conds = norms * _inverse_one_norms(solver, chunk.size, size)
                 states, residuals = self._states(chunk, solved)
-            if dense:
+            if base.probes is not None:
                 # the dense probes round otherwise than the LU's solves
-                conds[chunk == base] = base_cond
+                conds[chunk == base_value] = base.cond
             for p, value in enumerate(chunk.tolist()):
-                if value != base and not (finite[p] and conds[p] <= _COND_WARN):
+                if value != base_value and not (finite[p] and conds[p] <= _COND_WARN):
                     yield from self._outcomes(value, [value])
                 else:
                     yield (states[p], float(residuals[p]), bool(finite[p]), float(conds[p]),
@@ -682,10 +698,18 @@ def _eig(k: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for j in range(n - 2):
         x = h[j + 1:, j]
         length = math.sqrt(np.einsum("i,i->", x.conj(), x).real)
-        if length == 0.0:
-            continue
+        if not 2.0**-450 <= length <= 2.0**450:
+            # the squared norm under- or overflowed: scale x into range by a
+            # power of two, exactly (1 / max|x| overflows when it is subnormal)
+            top = np.abs(x).max()
+            if top == 0.0:
+                continue
+            half = 2.0 ** (-math.frexp(top)[1] // 2)
+            x = x * half * half
+            length = math.sqrt(np.einsum("i,i->", x.conj(), x).real)
         v = x.copy()
-        v[0] += length * (x[0] / abs(x[0]) if x[0] else 1.0)
+        # 1 / |x[0]| overflows for a subnormal x[0], negligible beside length
+        v[0] += length * (x[0] / abs(x[0]) if abs(x[0]) >= 2.0**-1022 else 1.0)
         v /= math.sqrt(np.einsum("i,i->", v.conj(), v).real)
         # h <- P h P and q <- q P, with P = I - 2 v v^H on indices j+1..n-1
         h[j + 1:] -= 2.0 * np.multiply.outer(v, np.einsum("i,ij->j", v.conj(), h[j + 1:]))

@@ -46,9 +46,14 @@ class AtomicResponse:
 
 
 def check_closed_form(params: PhysicsParams) -> None:
-    """Raise ConfigError unless the closed form is defined: it needs gamma > 0."""
+    """Raise ConfigError unless the closed form is defined: it needs gamma > 0,
+    and a kappa whose square in rad/us, the transmission's normalization,
+    does not underflow to 0."""
     if params.gamma <= 0.0:
         raise ConfigError("gamma must be positive for the atomic response")
+    if (TWO_PI * params.kappa) ** 2 == 0.0:
+        raise ConfigError(f"kappa = {params.kappa!r} MHz is too small for the closed form: "
+                          "its square underflows to 0")
 
 
 def atomic_response(params: PhysicsParams, delta: float) -> AtomicResponse:

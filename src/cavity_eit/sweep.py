@@ -211,6 +211,11 @@ def run_sweep(spec: SweepSpec) -> list[SpectrumRecord]:
     if ENGINE_SEMICLASSICAL in spec.engines:
         # before the master-equation system is built and solved
         check_closed_form(spec.base_params)
+        # the formula's shifted detuning is largest in size at an end
+        shift = spec.base_params.light_shift
+        if not math.isfinite(TWO_PI * max(abs(spec.start + shift), abs(spec.stop + shift))):
+            raise ConfigError(f"the closed form's two-photon detuning overflows: window "
+                              f"{spec.start!r} to {spec.stop!r} MHz, light_shift {shift!r} MHz")
     if ENGINE_MASTER_EQUATION in spec.engines:
         solutions = []
         # a solver error names the first point without a solution

@@ -2,6 +2,7 @@ import contextlib
 import dataclasses
 import io
 import json
+import math
 import os
 import stat
 import subprocess
@@ -79,6 +80,7 @@ def _run_configs(draw):
     values["n_atoms"] = draw(st.sampled_from((0, 1, 2)))
     values["start"], values["stop"] = draw(_FINITE), draw(_FINITE)
     assume(values["start"] < values["stop"])
+    assume(math.isfinite(values["stop"] - values["start"]))
     values["n_points"] = draw(st.integers(min_value=2, max_value=10**6))
     assert set(values) == set(RunConfig.keys())
     return RunConfig(**values)
@@ -755,18 +757,30 @@ _HUGE_STEP = "".join(f"{x},{t},0,,,me,\n" for x, t in
          "DegenerateSteadyStateError", "sparse factorization failed"),
         ("start = 1e308\nstop = 1.7e308\n", ["eit-sweep"], "DegenerateSteadyStateError",
          "sparse factorization failed"),
+        # the base at 0 serves the other value through weights that overflow
+        ("", ["cavity-scan", "--start", "0", "--stop", "1.7e308", "--points", "2"],
+         "DegenerateSteadyStateError", "sparse factorization failed"),
+        ("start = 0\nstop = 1.7e308\nn_points = 2\n", ["eit-sweep"],
+         "DegenerateSteadyStateError", "sparse factorization failed"),
+        # the closed form's normalization kappa^2 underflows to 0
+        ("kappa = 1e-310\n", ["eit-sweep", "--engine", "sc"], "ConfigError",
+         "kappa = 1e-310 MHz is too small for the closed form"),
+        ("light_shift = 1.7e308\n", ["eit-sweep", "--engine", "sc"], "ConfigError",
+         "the closed form's two-photon detuning overflows: window -0.9 to 1.7 MHz"),
         (_HUGE_T_REL, ["analyze"], "ConfigError",
          "engine 'me': extremum refined at sweep value"),
         (_HUGE_STEP, ["analyze"], "ConfigError", "engine 'me': extrema search needs a uniform"),
     ],
     ids=["config-window-width", "scan-window-width", "scan-huge-values", "config-huge-values",
-         "analyze-huge-t-rel", "analyze-huge-grid-step"],
+         "scan-two-huge-values", "config-two-huge-values", "closed-form-tiny-kappa",
+         "closed-form-huge-light-shift", "analyze-huge-t-rel", "analyze-huge-grid-step"],
 )
 def test_huge_sweep_values_exit_with_one_error_line(tmp_path, text, command, error, message):
     # a window whose width overflows, sweep values that overflow the system,
-    # and transmissions or a grid step that overflow the extrema search each
-    # exit 2 with the record as the only line on stderr, under Python's
-    # default warning filters, and no output
+    # a kappa whose square underflows the closed form, a light shift that
+    # overflows its detuning, and transmissions or a grid step that overflow
+    # the extrema search each exit 2 with the record as the only line on
+    # stderr, under Python's default warning filters, and no output
     out = tmp_path / "o.csv"
     if command == ["analyze"]:
         source = tmp_path / "huge.csv"
@@ -946,7 +960,7 @@ def _run_cli(argv):
 
 _FUZZ_KEYS = ("g", "omega_con", "gamma", "kappa", "gamma_deph", "n_p", "delta_p",
               "delta_p_cav", "delta", "light_shift", "start", "stop")
-_FUZZ_VALUES = st.sampled_from((0.0, 1e-12, 0.3, 3.0, 1e9, -1e3))
+_FUZZ_VALUES = st.sampled_from((0.0, 5e-324, 1e-310, 1e-160, 1e-12, 0.3, 3.0, 1e9, -1e3, 1.7e308))
 
 
 @st.composite

@@ -718,6 +718,22 @@ def test_every_point_matches_its_own_one_point_lu(field, scheme, params, values)
         assert solution.diagnostics.condition_estimate == pytest.approx(cond, rel=1e-10)
 
 
+@pytest.mark.parametrize("name", ["g", "kappa", "r_f"])
+def test_a_sweep_with_a_subnormal_rate_matches_its_own_one_point_lus(name):
+    # a rate of 1e-310 puts subnormal entries into the update's K, which its
+    # eigendecomposition scales into range; each point keeps the state and
+    # estimate of its own LU, to the bounds of
+    # test_every_point_matches_its_own_one_point_lu.  The estimator's sign
+    # vector overflows on the subnormal entries of a solve, in onenormest
+    # as in the sweep's own estimator, so the reference runs without warnings.
+    system = _parametric_system("delta", "five", replace(PhysicsParams(), **{name: 1e-310}))
+    for value, solution in zip(_WINDOW, system.solve_each(_WINDOW), strict=True):
+        with np.errstate(over="ignore", invalid="ignore"):
+            rho, cond = _one_point_solve(system, value)
+        assert np.max(np.abs(solution.rho.matrix - rho)) <= 1e-12 * np.max(np.abs(rho))
+        assert solution.diagnostics.condition_estimate == pytest.approx(cond, rel=1e-10)
+
+
 @pytest.mark.parametrize("field, scheme, params, values", _BLOCK_CASES, ids=_BLOCK_IDS)
 def test_unrelaxed_lu_matches_superlu_default_relaxation(field, scheme, params, values):
     # the block LUs leave SuperLU's supernodes unrelaxed and prefer diagonal
@@ -924,6 +940,46 @@ def test_eig_of_the_update_is_an_eigendecomposition():
     assert not (np.isfinite(vectors).all() and np.isfinite(inverse).all())
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-170, 1e-160, 1.0, 1e160, 1e200, 1e300])
+def test_eig_holds_at_every_scale_of_the_float_range(scale):
+    # a column whose squared norm under- or overflows is scaled into range
+    # first, as LAPACK's reflectors are, so the decomposition holds relative
+    # to the scale, with no warning
+    rng = np.random.default_rng(7)
+    k = scale * (rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12)))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors, inverse = liouville._eig(k)
+    reference = np.linalg.eigvals(k)
+    assert np.abs(values[:, None] - reference).min(axis=1).max() <= 1e-13 * np.abs(k).max()
+    assert np.abs(np.linalg.norm(vectors, axis=0) - 1.0).max() <= 1e-14
+    assert np.abs(inverse @ vectors - np.eye(12)).max() <= 1e-13
+
+
+def test_eig_takes_a_subnormal_head_of_a_column():
+    # 1 / |x[0]| overflows for a subnormal x[0] of a column whose norm is in
+    # range; its phase is then as good as any
+    rng = np.random.default_rng(7)
+    k = rng.normal(size=(12, 12)) + 1j * rng.normal(size=(12, 12))
+    k[1, 0] = 1e-315 * (1 + 1j)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        values, vectors, inverse = liouville._eig(k)
+    reference = np.linalg.eigvals(k)
+    assert np.abs(values[:, None] - reference).min(axis=1).max() <= 1e-13 * np.abs(k).max()
+    assert np.abs(inverse @ vectors - np.eye(12)).max() <= 1e-13
+
+
+def test_a_value_that_is_its_own_base_reads_its_scale_and_norm_once(monkeypatch):
+    # a lone value's slice keeps the scale and 1-norm that factor read for
+    # its LU
+    calls, read = [], liouville._Block.scales_and_norms
+    monkeypatch.setattr(liouville._Block, "scales_and_norms",
+                        lambda self, values: calls.append(values.size) or read(self, values))
+    steady_state(build_model(PhysicsParams()))
+    assert calls == [1]
+
+
 def _factor_count(monkeypatch):
     """A list that grows by one entry per sparse LU the package factors."""
     factors, factor = [], liouville.splu
@@ -969,9 +1025,9 @@ def test_a_long_sweep_of_a_small_system_probes_through_the_dense_inverse(
     system = _parametric_system("delta", "five", PhysicsParams())
     values = np.linspace(DEFAULT_SWEEP_START, DEFAULT_SWEEP_STOP, points)
     middle = 0.5 * (values[0] + values[-1])
-    modes, update = [], liouville._Block.update
-    monkeypatch.setattr(liouville._Block, "update",
-                        lambda self, lu, dense: modes.append(dense) or update(self, lu, dense))
+    modes, serve = [], liouville._Base.serve
+    monkeypatch.setattr(liouville._Base, "serve",
+                        lambda self, dense: modes.append(dense) or serve(self, dense))
     factors = _factor_count(monkeypatch)
     solves = _solve_count(monkeypatch)
     next(system.solve_each([min(values, key=lambda v: abs(v - middle))]))
